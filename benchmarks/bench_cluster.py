@@ -20,13 +20,15 @@ Two things are checked here, with very different portability:
   to the gate, which CI runs on known hardware.
 """
 
+import dataclasses
 import time
 
 import pytest
 
 from _support import report, run_once, scaled
 
-from repro.cluster import Cluster, boot_storm  # noqa: E402
+from repro.cluster import Cluster  # noqa: E402
+from repro.stdlib import preset  # noqa: E402
 
 HOSTS = 8
 WORKERS = 4
@@ -37,9 +39,11 @@ REQUEST_GAP_MS = 0.25
 
 
 def _config():
-    return boot_storm(hosts=HOSTS, guests=GUESTS, requests=REQUESTS,
-                      epoch_ms=EPOCH_MS, net_latency_ms=EPOCH_MS,
-                      request_gap_ms=REQUEST_GAP_MS)
+    config = preset("boot-storm", hosts=HOSTS, guests=GUESTS,
+                    requests=REQUESTS).to_cluster_config(0)
+    return dataclasses.replace(config, epoch_ms=EPOCH_MS,
+                               net_latency_ms=EPOCH_MS,
+                               request_gap_ms=REQUEST_GAP_MS)
 
 
 def _timed_run(backend, workers=None):

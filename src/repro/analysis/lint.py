@@ -36,9 +36,6 @@ ID          severity   hazard
                        ``add_callback``/``schedule``/``call_later`` or
                        appended to ``callbacks`` allocates one closure
                        cell per event — pass ``(callback, args)`` instead
-``RPR009``  error      deprecated XenStore surface: a ``.op_*`` /
-                       ``.tx_*`` daemon call outside ``repro/xenstore``
-                       — go through ``repro.xenstore.client.XsClient``
 ``RPR010``  error      real concurrency: ``threading`` /
                        ``multiprocessing`` / ``asyncio`` /
                        ``concurrent.futures`` imports in simulation code
@@ -595,48 +592,6 @@ class KernelClosureRule(LintRule):
                         "entry instead")
 
 
-@register
-class LegacyXenStoreSurfaceRule(LintRule):
-    """RPR009: the pre-redesign daemon surface is shimmed, not current.
-
-    ``daemon.op_read``/``op_write``/... and ``tx_read``/``tx_write``/...
-    are deprecation shims kept for old callers; new code goes through
-    :class:`repro.xenstore.client.XsClient` (which binds the domid once
-    and unlocks batching).  Only the ``repro/xenstore`` package itself —
-    the shims, the client, and their tests' frozen reference — may spell
-    the legacy names.
-    """
-
-    id = "RPR009"
-    severity = "error"
-    synopsis = "deprecated XenStore op_*/tx_* call outside repro/xenstore"
-
-    _EXEMPT_PATH = re.compile(r"repro[\\/]xenstore[\\/]")
-    #: The exact legacy method names (not a prefix match: ``op_base_ms``
-    #: and friends are legitimate cost-model calls).
-    _LEGACY_CALLS = frozenset({
-        "op_read", "op_write", "op_get_perms", "op_set_perms",
-        "op_mkdir", "op_rm", "op_directory", "op_watch", "op_unwatch",
-        "op_check_unique_name",
-        "tx_read", "tx_exists", "tx_write", "tx_rm",
-    })
-
-    def check(self, module: ModuleContext) -> typing.Iterator[Finding]:
-        if self._EXEMPT_PATH.search(module.path):
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not isinstance(func, ast.Attribute):
-                continue
-            if func.attr in self._LEGACY_CALLS:
-                yield self.finding(
-                    module, node,
-                    "deprecated XenStore surface .%s(); use an XsClient "
-                    "handle (repro.xenstore.client) instead" % func.attr)
-
-
 #: Paths where RPR010 does not apply.  Exactly two modules are
 #: sanctioned, both *runners* that fan whole, independent DES timelines
 #: out over OS processes and exchange nothing mid-timeline:
@@ -664,8 +619,8 @@ class RealConcurrencyRule(LintRule):
     whose interleavings the replay digest cannot pin — the race tooling
     in :mod:`repro.analysis.races` reasons about ``sim.Resource`` locks
     precisely because they are the only legal synchronisation.  Paths in
-    :data:`RPR010_ALLOWED_PATHS` (the future cluster process runner) are
-    exempt; anywhere else, a justified noqa must argue the import never
+    :data:`RPR010_ALLOWED_PATHS` (the cluster procs backend and the
+    sweep runner) are exempt; anywhere else, a justified noqa must argue the import never
     touches the timeline (e.g. tooling that only post-processes
     artifacts).
     """

@@ -21,16 +21,16 @@ Gives the library a downstream-usable front end:
 * ``chaos`` — N seeded fault campaigns against a scenario, invariants
   audited after every recovery, failing schedules delta-debugged down to
   minimal replayable JSON reproducers;
-* ``run`` — execute a declarative scenario spec (YAML/JSON) from the
+* ``run`` — the one way to run a scenario: execute a declarative
+  scenario spec (YAML/JSON, single-host or cluster mode) from the
   scenario standard library across a seed set, in parallel, producing a
   replayable sweep manifest;
 * ``components`` — list the stdlib component catalogue.
 
-Flag conventions are shared across ``run``/``cluster``/``chaos`` (see
+Flag conventions are shared across ``run``/``chaos`` (see
 :mod:`repro.cli_flags`): ``--seed N`` for one seed, ``--seeds A..B`` for
 a set, ``--workers`` for parallelism, ``--json``/``--replay`` for
-machine-readable output and bit-for-bit replay.  Deprecated spellings
-warn once and keep working.
+machine-readable output and bit-for-bit replay.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ import argparse
 import sys
 import typing
 
-from .cli_flags import (contiguous_range, parse_seed_set, seed_set,
-                        warn_once)
+from .cli_flags import contiguous_range, seed_set
 from .core import Host, VARIANTS
 from .core.metrics import mean, median, percentile, sample_indices
 from .data import counts_by_year
@@ -489,35 +488,13 @@ def _cmd_chaos(args) -> int:
         return 0 if reproduced else 1
 
     _lookup_or_exit(args.parser_error, args.image)
-    text = str(args.seeds).strip()
-    if ".." not in text and "," not in text:
-        # A bare integer: the pre-stdlib "count of seeds" spelling.
-        try:
-            count = int(text)
-        except ValueError:
-            args.parser_error("argument --seeds: expected 'A..B', "
-                              "'A,B,C', or an integer count, got %r"
-                              % text)
-        if count < 1:
-            args.parser_error("argument --seeds: count must be >= 1")
-        warn_once(
-            "chaos:--seeds-count",
-            "'repro chaos --seeds %d' (a count) is deprecated; write "
-            "'--seeds %d..%d' — the canonical seed-set spelling shared "
-            "with 'repro run' and 'repro cluster'"
-            % (count, args.seed, args.seed + count - 1))
-        base_seed = args.seed
-    else:
-        try:
-            seeds = parse_seed_set(text)
-        except ValueError as exc:
-            args.parser_error("argument --seeds: %s" % exc)
-        span = contiguous_range(seeds)
-        if span is None:
-            args.parser_error(
-                "argument --seeds: chaos campaigns need a contiguous "
-                "range (run i replays seed base+i), got %r" % text)
-        base_seed, count = span
+    span = contiguous_range(args.seeds)
+    if span is None:
+        args.parser_error(
+            "argument --seeds: chaos campaigns need a contiguous range "
+            "(run i replays seed base+i), got %s"
+            % ",".join(str(seed) for seed in args.seeds))
+    base_seed, count = span
     report = campaign.run_campaign(
         seeds=count, base_seed=base_seed, scenario=args.scenario,
         variant=args.variant, image=args.image, count=args.count,
@@ -536,99 +513,24 @@ def _cmd_chaos(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_cluster(args) -> int:
-    import json
-    import time  # noqa: RPR002 -- wall-clock only annotates the CLI report; it is read outside the simulated timeline
-
-    from .cluster import SCENARIOS, Cluster, ClusterConfig, replay_reproducer
-
-    if args.replay:
-        with open(args.replay) as handle:
-            data = json.load(handle)
-        documents = data if isinstance(data, list) else [data]
-        reproduced = True
-        for payload in documents:
-            same, result = replay_reproducer(payload)
-            reproduced = reproduced and same
-            print("scenario %s seed %d: %d epoch(s), digest %s — %s"
-                  % (result.config.scenario, result.config.seed,
-                     result.epochs, result.digest[:12],
-                     "reproduced" if same else "DIVERGED from record"))
-        return 0 if reproduced else 1
-
-    scenario = args.scenario
-    if scenario == "churn":
-        warn_once(
-            "cluster:--scenario-churn",
-            "'repro cluster --scenario churn' is deprecated; use "
-            "'--scenario migration-churn'")
-        scenario = "migration-churn"
-    build = SCENARIOS[scenario]
-    overrides: typing.Dict[str, object] = {}
-    if args.epoch_ms is not None:
-        overrides["epoch_ms"] = args.epoch_ms
-        overrides["net_latency_ms"] = max(args.epoch_ms,
-                                          args.net_latency_ms or 0.0)
-    elif args.net_latency_ms is not None:
-        overrides["net_latency_ms"] = args.net_latency_ms
-
-    seeds = args.seeds if args.seeds is not None else [args.seed]
-    payloads = []
-    for seed in seeds:
-        config: ClusterConfig = build(
-            hosts=args.hosts, seed=seed, guests=args.guests,
-            requests=args.requests, variant=args.variant,
-            fault_rate=args.fault_rate, recovery=args.recovery,
-            placement=args.placement, **overrides)
-        if scenario != "boot-storm" and args.migrations is not None:
-            config.migrations = args.migrations
-        start = time.perf_counter()  # noqa: RPR002 -- wall-clock annotates the CLI report only, outside the timeline
-        result = Cluster(config, backend=args.backend,
-                         workers=args.workers).run()
-        wall_s = time.perf_counter() - start  # noqa: RPR002 -- same wall-clock annotation as above
-
-        if args.json:
-            payload = result.to_dict()
-            payload["wall_s"] = wall_s
-            payloads.append(payload)
-            continue
-        stats = result.stats
-        print("cluster %s: %d host(s), backend=%s (%d worker(s)), seed %d"
-              % (config.scenario, config.hosts, result.backend,
-                 result.workers, config.seed))
-        print("  %d epoch(s), %.1f ms simulated, %d events, %.2f s wall"
-              % (result.epochs, result.sim_ms, result.events, wall_s))
-        print("  booted %d guest(s) (%d failed), %d migration(s) "
-              "(%d failed), %d request(s) served (%d missed, %d unrouted)"
-              % (stats.get("booted", 0), stats.get("create_failed", 0),
-                 stats.get("migrations_done", 0),
-                 stats.get("migrations_failed", 0), stats.get("served", 0),
-                 stats.get("missed", 0), stats.get("unrouted", 0)))
-        responses = stats.get("responses", 0)
-        if responses:
-            print("  request latency: %.2f ms mean, %.2f ms max"
-                  % (stats.get("latency_ms_sum", 0.0) / responses,
-                     stats.get("latency_ms_max", 0.0)))
-        print("  cluster digest %s" % result.digest)
-    if args.json:
-        # One seed: the bare replayable reproducer (the pre-stdlib
-        # shape); a seed set: a list of them (still --replay-able).
-        out = payloads[0] if len(payloads) == 1 else payloads
-        print(json.dumps(out, indent=2, sort_keys=True))
-    return 0
-
-
 def _cmd_run(args) -> int:
     import json
     import time  # noqa: RPR002 -- wall-clock only annotates the CLI report; it is read outside the simulated timeline
 
-    from .stdlib import (ComponentError, SpecError, load_spec,
-                         replay_manifest, run_sweep, write_bench_json)
+    from .stdlib import (ComponentError, SpecError, SweepError, load_spec,
+                         replay_manifest, run_sweep, workers_on_hosts,
+                         write_bench_json)
 
     if args.replay:
-        with open(args.replay) as handle:
-            payload = json.load(handle)
-        same, result = replay_manifest(payload, workers=args.workers)
+        try:
+            with open(args.replay) as handle:
+                payload = json.load(handle)
+            same, result = replay_manifest(payload, workers=args.workers)
+        except (OSError, json.JSONDecodeError, SpecError, ComponentError,
+                SweepError) as exc:
+            print("repro run: error: %s: %s" % (args.replay, exc),
+                  file=sys.stderr)
+            return 2
         print("scenario %s: %d seed(s), manifest digest %s — %s"
               % (result["scenario"], len(result["runs"]),
                  result["manifest_digest"][:12],
@@ -650,6 +552,7 @@ def _cmd_run(args) -> int:
         return 2
 
     seeds = args.seeds if args.seeds is not None else [args.seed]
+    on_hosts = workers_on_hosts(spec, seeds, args.workers)
     start = time.perf_counter()  # noqa: RPR002 -- wall-clock annotates the CLI report only, outside the timeline
     manifest = run_sweep(spec, seeds, workers=args.workers)
     wall_s = time.perf_counter() - start  # noqa: RPR002 -- same wall-clock annotation as above
@@ -664,10 +567,12 @@ def _cmd_run(args) -> int:
     if args.json:
         print(json.dumps(manifest, indent=2, sort_keys=True))
         return 0
-    print("scenario %s (mode %s): %d seed(s), %d worker(s), %.2f s wall"
+    print("scenario %s (mode %s): %d seed(s), %d worker(s) on %s, "
+          "%.2f s wall"
           % (manifest["scenario"], manifest["mode"],
              len(manifest["runs"]),
-             min(max(1, args.workers), len(seeds)), wall_s))
+             min(args.workers, spec.hosts if on_hosts else len(seeds)),
+             "hosts" if on_hosts else "seeds", wall_s))
     for record in manifest["runs"]:
         print("  seed %-4d %7d event(s) %10.1f ms  digest %s"
               % (record["seed"], record["events"], record["sim_ms"],
@@ -859,61 +764,16 @@ def build_parser() -> argparse.ArgumentParser:
                          help="emit the registry as JSON")
     metrics.set_defaults(fn=_cmd_metrics)
 
-    cluster = sub.add_parser(
-        "cluster", help="parallel multi-host simulation with "
-                        "deterministic epoch barriers")
-    cluster.add_argument("--scenario", choices=("boot-storm",
-                                                "migration-churn",
-                                                "churn"),
-                         default="boot-storm")
-    cluster.add_argument("--hosts", type=_positive_int, default=8)
-    cluster.add_argument("--workers", type=_positive_int, default=None,
-                         help="OS processes for the procs backend "
-                              "(default: one per host)")
-    cluster.add_argument("--backend", choices=("inline", "procs"),
-                         default="inline")
-    cluster.add_argument("--seed", type=int, default=0)
-    cluster.add_argument("--seeds", type=seed_set, default=None,
-                         metavar="A..B",
-                         help="run a whole seed set ('0..7' or '0,3,9'; "
-                              "overrides --seed)")
-    cluster.add_argument("--guests", type=_positive_int, default=32,
-                         help="guests created cluster-wide")
-    cluster.add_argument("--requests", type=int, default=0,
-                         help="open-loop requests cluster-wide")
-    cluster.add_argument("--migrations", type=int, default=None,
-                         help="cross-host migrations (churn scenario)")
-    cluster.add_argument("--variant", choices=VARIANTS,
-                         default="lightvm")
-    cluster.add_argument("--placement", choices=("least-loaded",
-                                                 "first-fit"),
-                         default="least-loaded")
-    cluster.add_argument("--epoch-ms", type=float, default=None,
-                         help="epoch window length (the lookahead)")
-    cluster.add_argument("--net-latency-ms", type=float, default=None,
-                         help="minimum cross-host message latency")
-    cluster.add_argument("--fault-rate", type=float, default=0.0)
-    cluster.add_argument("--recovery", action="store_true",
-                         help="attach the recovery layer to every host")
-    cluster.add_argument("--json", action="store_true",
-                         help="print the replayable reproducer JSON")
-    cluster.add_argument("--replay", metavar="FILE",
-                         help="re-run a reproducer JSON on the inline "
-                              "backend and verify its digest")
-    cluster.set_defaults(fn=_cmd_cluster)
-
     chaos = sub.add_parser(
         "chaos", help="seeded fault campaigns with shrinking reproducers")
     chaos.add_argument("--variant", choices=VARIANTS, default="chaos+xs")
     chaos.add_argument("--image", default="daytime")
     chaos.add_argument("--scenario", choices=("boot-storm", "churn"),
                        default="boot-storm")
-    chaos.add_argument("--seeds", default="16", metavar="A..B",
-                       help="seed range to campaign over ('0..15'; a "
-                            "bare count N is the deprecated spelling "
-                            "for '--seed base' + N consecutive seeds)")
-    chaos.add_argument("--seed", type=int, default=0,
-                       help="base seed (run i uses seed base+i)")
+    chaos.add_argument("--seeds", type=seed_set, default="0..15",
+                       metavar="A..B",
+                       help="contiguous seed range to campaign over "
+                            "(default 0..15)")
     chaos.add_argument("--count", type=_positive_int, default=8,
                        help="guests each scenario run creates")
     chaos.add_argument("--rules", type=_positive_int, default=3,
@@ -935,9 +795,9 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.set_defaults(fn=_cmd_chaos)
 
     run = sub.add_parser(
-        "run", help="execute a declarative scenario spec (YAML/JSON) "
-                    "across a seed set; emits a replayable sweep "
-                    "manifest")
+        "run", help="execute a declarative scenario spec (YAML/JSON, "
+                    "host or cluster mode) across a seed set; emits a "
+                    "replayable sweep manifest")
     run.add_argument("spec", nargs="?", default=None,
                      help="scenario spec file (.yaml/.yml/.json)")
     run.add_argument("--seed", type=int, default=0,
@@ -947,8 +807,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="run a whole seed set ('0..31' or '0,3,9'; "
                           "overrides --seed)")
     run.add_argument("--workers", type=_positive_int, default=1,
-                     help="OS processes for the sweep (default 1; the "
-                          "manifest is worker-count invariant)")
+                     help="OS processes (default 1): one per seed, or, "
+                          "for a cluster spec run under one seed, one "
+                          "per group of hosts on the procs backend; the "
+                          "manifest is worker-count invariant")
     run.add_argument("--json", action="store_true",
                      help="print the sweep manifest JSON")
     run.add_argument("--out", metavar="FILE",

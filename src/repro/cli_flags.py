@@ -1,7 +1,7 @@
 """Shared CLI flag conventions.
 
-The seed/parallelism surface is the same across ``repro run``, ``repro
-cluster`` and ``repro chaos``:
+The seed/parallelism surface is the same across ``repro run`` and
+``repro chaos``:
 
 * ``--seed N`` — one seed (the default workload);
 * ``--seeds A..B`` — an inclusive seed range — or ``A,B,C``, an explicit
@@ -9,38 +9,12 @@ cluster`` and ``repro chaos``:
 * ``--workers N`` — OS processes for the parallel backends;
 * ``--json`` — machine-readable output; ``--replay FILE`` — re-run a
   recorded artifact and verify its digests bit-for-bit.
-
-Deprecated spellings (``repro cluster --scenario churn``, ``repro chaos
---seeds <count>``) keep working but warn exactly once per process
-through :func:`warn_once`, always naming the canonical replacement.
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
 import typing
-
-#: Deprecation keys already warned about in this process.
-_WARNED: typing.Set[str] = set()
-
-
-def warn_once(key: str, message: str, stream=None) -> bool:
-    """Print a deprecation warning for ``key``, at most once per process.
-
-    Returns True when the warning was actually printed.
-    """
-    if key in _WARNED:
-        return False
-    _WARNED.add(key)
-    print("repro: warning: %s" % message,
-          file=stream if stream is not None else sys.stderr)
-    return True
-
-
-def reset_warnings() -> None:
-    """Forget warned-about keys (test isolation)."""
-    _WARNED.clear()
 
 
 def parse_seed_set(text: str) -> typing.List[int]:

@@ -10,21 +10,21 @@ per worker) — and are required to produce byte-identical cluster
 digests; DESIGN.md's "Epoch-barrier determinism contract" section holds
 the full argument.
 
-Quickstart::
+Scenarios are described by cluster-mode specs and run through
+``repro run``; from Python, lower a spec onto a config and run it::
 
-    from repro.cluster import run_cluster
+    from repro.cluster import Cluster
+    from repro.stdlib import preset
 
-    result = run_cluster("boot-storm", hosts=8, guests=64,
-                         requests=2000, seed=1, backend="procs",
-                         workers=4)
+    spec = preset("boot-storm", hosts=8, guests=64, requests=2000)
+    result = Cluster(spec.to_cluster_config(seed=1), backend="procs",
+                     workers=4).run()
     print(result.digest, result.stats["booted"])
 """
 
 from .cluster import (BACKENDS, Cluster, ClusterError, ClusterResult,
-                      InlineBackend, REPRODUCER_VERSION,
-                      replay_reproducer, run_cluster)
-from .config import (ClusterConfig, ClusterConfigError, SCENARIOS,
-                     boot_storm, host_seed, migration_churn)
+                      InlineBackend)
+from .config import ClusterConfig, ClusterConfigError, host_seed
 from .controller import Controller
 from .messages import CONTROLLER, ClusterMessage, sort_canonical
 from .node import HostNode
@@ -44,12 +44,6 @@ __all__ = [
     "InlineBackend",
     "Placement",
     "PlacementError",
-    "REPRODUCER_VERSION",
-    "SCENARIOS",
-    "boot_storm",
     "host_seed",
-    "migration_churn",
-    "replay_reproducer",
-    "run_cluster",
     "sort_canonical",
 ]

@@ -32,13 +32,10 @@ import dataclasses
 import typing
 
 from ..analysis.sanitize import combine_digests
-from .config import SCENARIOS, ClusterConfig, ClusterConfigError
+from .config import ClusterConfig, ClusterConfigError
 from .controller import Controller
 from .messages import CONTROLLER, ClusterMessage, sort_canonical
 from .node import HostNode
-
-#: Reproducer-file schema version (mirrors the chaos runner's contract).
-REPRODUCER_VERSION = 1
 
 BACKENDS = ("inline", "procs")
 
@@ -79,7 +76,7 @@ class InlineBackend:
 
 @dataclasses.dataclass
 class ClusterResult:
-    """Outcome of one cluster run; everything JSON-serializable."""
+    """Outcome of one cluster run."""
 
     config: ClusterConfig
     backend: str
@@ -90,20 +87,6 @@ class ClusterResult:
     digest: str
     host_digests: typing.List[str]
     stats: typing.Dict[str, float]
-
-    def to_dict(self) -> dict:
-        return {"version": REPRODUCER_VERSION,
-                "tool": "repro cluster",
-                "scenario": self.config.scenario,
-                "config": self.config.to_dict(),
-                "backend": self.backend,
-                "workers": self.workers,
-                "epochs": self.epochs,
-                "sim_ms": self.sim_ms,
-                "events": self.events,
-                "digest": self.digest,
-                "host_digests": list(self.host_digests),
-                "stats": dict(self.stats)}
 
 
 class Cluster:
@@ -191,31 +174,3 @@ class Cluster:
                              digest=combine_digests(host_digests),
                              host_digests=host_digests, stats=stats)
 
-
-# ----------------------------------------------------------------------
-# Convenience entry points (CLI, benches, tests)
-# ----------------------------------------------------------------------
-
-def run_cluster(scenario: str = "boot-storm", backend: str = "inline",
-                workers: typing.Optional[int] = None,
-                **scenario_kwargs) -> ClusterResult:
-    """Build a scenario config and run it on the chosen backend."""
-    try:
-        build = SCENARIOS[scenario]
-    except KeyError:
-        raise ClusterConfigError(
-            "unknown scenario %r; expected one of %s"
-            % (scenario, ", ".join(sorted(SCENARIOS))))
-    config = build(**scenario_kwargs)
-    return Cluster(config, backend=backend, workers=workers).run()
-
-
-def replay_reproducer(payload: dict) -> typing.Tuple[bool, ClusterResult]:
-    """Re-run a ``repro cluster --json`` reproducer on the reference
-    backend and check the cluster digest bit-for-bit."""
-    if payload.get("version") != REPRODUCER_VERSION:
-        raise ClusterConfigError("unsupported reproducer version %r"
-                                 % (payload.get("version"),))
-    config = ClusterConfig.from_dict(payload["config"])
-    result = Cluster(config, backend="inline").run()
-    return result.digest == payload.get("digest"), result

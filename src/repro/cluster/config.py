@@ -1,11 +1,12 @@
 """Cluster scenario configuration.
 
-A :class:`ClusterConfig` is a flat record of JSON-serializable scalars —
-the *entire* input to a cluster run.  Determinism contract: the merged
-cluster timeline (and therefore the cluster digest) is a pure function of
-this config; the backend and worker count must not matter.  Keeping the
-config JSON-clean is what lets the ``repro cluster`` CLI embed it in a
-chaos-style reproducer file and replay it bit-for-bit later.
+A :class:`ClusterConfig` is a flat record of scalars — the *entire*
+input to a cluster run.  Determinism contract: the merged cluster
+timeline (and therefore the cluster digest) is a pure function of this
+config; the backend and worker count must not matter.  Configs are built
+by lowering a cluster-mode scenario spec
+(:meth:`repro.stdlib.spec.ScenarioSpec.to_cluster_config`), so the
+spec, not the config, is what a sweep manifest records and replays.
 """
 
 from __future__ import annotations
@@ -13,15 +14,9 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from ..core.hostspec import AMD_OPTERON_64, XEON_E5_1630, HostSpec
+from ..core.hostspec import HOST_SPECS, HostSpec
 from ..guests.catalog import lookup
 from ..guests.images import GuestImage
-
-#: Host specs addressable from a JSON config.
-SPECS: typing.Dict[str, HostSpec] = {
-    "amd-opteron-64": AMD_OPTERON_64,
-    "xeon-e5-1630": XEON_E5_1630,
-}
 
 
 class ClusterConfigError(ValueError):
@@ -37,14 +32,13 @@ class ClusterConfig:
     #: Master seed; every per-host seed, fault plan, and traffic stream
     #: is derived from it (see :func:`host_seed`).
     seed: int = 0
-    #: Scenario name (``boot-storm`` or ``migration-churn``); informative
-    #: in the config itself — the scenario builders below set the knobs.
+    #: Scenario name (the spec's ``name``); informative only.
     scenario: str = "boot-storm"
     #: Toolstack variant on every host (see :data:`repro.core.host.VARIANTS`).
     variant: str = "lightvm"
     #: Guest image name from the catalogue.
     image: str = "noop"
-    #: Host spec name from :data:`SPECS`.
+    #: Host spec name from :data:`repro.core.hostspec.HOST_SPECS`.
     spec: str = "amd-opteron-64"
 
     #: Epoch window length in simulated ms.  The lookahead rule requires
@@ -118,14 +112,14 @@ class ClusterConfig:
             raise ClusterConfigError("create_spacing_ms must be > 0")
         if self.request_gap_ms <= 0:
             raise ClusterConfigError("request_gap_ms must be > 0")
-        if self.spec not in SPECS:
+        if self.spec not in HOST_SPECS:
             raise ClusterConfigError(
                 "unknown spec %r; expected one of %s"
-                % (self.spec, ", ".join(sorted(SPECS))))
+                % (self.spec, ", ".join(sorted(HOST_SPECS))))
         lookup(self.image)  # raises on an unknown image name
 
     def host_spec(self) -> HostSpec:
-        return SPECS[self.spec]
+        return HOST_SPECS[self.spec]
 
     def guest_image(self) -> GuestImage:
         return lookup(self.image)
@@ -163,18 +157,6 @@ class ClusterConfig:
         base, extra = divmod(self.requests, self.hosts)
         return base + (1 if host_index < extra else 0)
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ClusterConfig":
-        fields = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(payload) - fields)
-        if unknown:
-            raise ClusterConfigError("unknown config keys: %s"
-                                     % ", ".join(unknown))
-        return cls(**payload)
-
 
 def host_seed(seed: int, host_index: int) -> int:
     """Derive host ``host_index``'s seed from the cluster seed.
@@ -186,50 +168,3 @@ def host_seed(seed: int, host_index: int) -> int:
     """
     return seed * 1000003 + host_index
 
-
-# ----------------------------------------------------------------------
-# Scenario presets
-# ----------------------------------------------------------------------
-
-def _from_preset(name: str, seed: int, overrides: dict, *,
-                 hosts: int, guests: int, requests: int,
-                 migrations: int = 0) -> ClusterConfig:
-    """Lower a stdlib preset to a ClusterConfig, then apply raw
-    ClusterConfig field overrides (the pre-stdlib builder surface)."""
-    from ..stdlib.presets import preset
-    config = preset(name, hosts=hosts, guests=guests, requests=requests,
-                    migrations=migrations).to_cluster_config(seed)
-    return dataclasses.replace(config, **overrides) if overrides \
-        else config
-
-
-def boot_storm(hosts: int = 8, seed: int = 0, guests: int = 32,
-               requests: int = 0, **overrides) -> ClusterConfig:
-    """The generalized Fig 10 shape: a create ramp across N hosts.
-
-    A shim over :data:`repro.stdlib.presets.BOOT_STORM` — the spec path
-    (``repro run``) and this builder produce identical configs.
-    """
-    return _from_preset("boot-storm", seed, overrides, hosts=hosts,
-                        guests=guests, requests=requests)
-
-
-def migration_churn(hosts: int = 4, seed: int = 0, guests: int = 16,
-                    migrations: int = 8, requests: int = 0,
-                    **overrides) -> ClusterConfig:
-    """Boot a fleet, then churn guests between hosts (the Fig 13 path
-    generalized to cluster placement).
-
-    A shim over :data:`repro.stdlib.presets.MIGRATION_CHURN`.
-    """
-    return _from_preset("migration-churn", seed, overrides, hosts=hosts,
-                        guests=guests, requests=requests,
-                        migrations=migrations)
-
-
-#: CLI-addressable scenario builders.
-SCENARIOS: typing.Dict[str, typing.Callable[..., ClusterConfig]] = {
-    "boot-storm": boot_storm,
-    "migration-churn": migration_churn,
-    "churn": migration_churn,
-}

@@ -145,7 +145,10 @@ class Controller:
     # ------------------------------------------------------------------
     def _issue_creates(self, epoch: int, barrier_ms: float,
                        out: typing.List[ClusterMessage]) -> None:
-        cutoff = barrier_ms + self.config.epoch_ms
+        # The next window's end, computed as Cluster.run computes it: a
+        # float barrier_ms + epoch_ms can round below it and strand a
+        # create in a window whose hosts have already passed it.
+        cutoff = (epoch + 2) * self.config.epoch_ms
         while self._next_gid < self.config.guests and \
                 self._t(self._next_gid) < cutoff:
             gid = self._next_gid

@@ -7,6 +7,7 @@ depend on their core counts and RAM sizes, which these presets carry.
 from __future__ import annotations
 
 import dataclasses
+import typing
 
 
 @dataclasses.dataclass(frozen=True)
@@ -53,3 +54,11 @@ XEON_E5_2690 = HostSpec(name="xeon-e5-2690v4", cores=14, memory_gb=64,
 #: assigned to Dom0 and two to guests.
 XEON_E5_1630_2DOM0 = HostSpec(name="xeon-e5-1630v3-2dom0", cores=4,
                               memory_gb=128, dom0_cores=2)
+
+#: Host specs addressable by name from a scenario spec or a cluster
+#: config.
+HOST_SPECS: typing.Dict[str, HostSpec] = {
+    "xeon-e5-1630": XEON_E5_1630,
+    "xeon-e5-2690": XEON_E5_2690,
+    "amd-opteron-64": AMD_OPTERON_64,
+}

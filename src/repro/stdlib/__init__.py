@@ -12,7 +12,7 @@ Entry points:
   scenario document (typed errors, no silent defaulting);
 * ``run_scenario(spec, seed)`` — one run, one replay digest;
 * ``run_sweep(spec, seeds, workers)`` — the sweep manifest behind
-  ``repro run``;
+  ``repro run``, the only CLI that runs a scenario;
 * ``preset(name)`` / ``storm_spec(...)`` — the standing experiments.
 """
 
@@ -29,7 +29,7 @@ from .spec import (MissingSpecKeyError, ScenarioSpec, SpecError,
                    SpecTypeError, UnknownSpecKeyError, load_spec, loads)
 from .sweep import (MANIFEST_VERSION, SweepError, bench_payload,
                     manifest_digest, replay_manifest, run_sweep,
-                    write_bench_json)
+                    workers_on_hosts, write_bench_json)
 
 __all__ = [
     # components
@@ -46,6 +46,7 @@ __all__ = [
     # runner / sweep
     "ScenarioResult", "run_scenario", "run_sweep", "replay_manifest",
     "manifest_digest", "bench_payload", "write_bench_json",
+    "workers_on_hosts",
     "SweepError", "MANIFEST_VERSION",
     # presets
     "PRESETS", "preset", "storm_spec",

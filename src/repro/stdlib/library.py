@@ -17,18 +17,10 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from ..core.hostspec import (AMD_OPTERON_64, XEON_E5_1630, XEON_E5_2690,
-                             HostSpec)
+from ..core.hostspec import HOST_SPECS, HostSpec
 from ..guests.catalog import CATALOG
 from ..guests.images import GuestImage
 from .components import Component, register
-
-#: Host specs addressable from a component (superset of the cluster's).
-HOST_SPECS: typing.Dict[str, HostSpec] = {
-    "xeon-e5-1630": XEON_E5_1630,
-    "xeon-e5-2690": XEON_E5_2690,
-    "amd-opteron-64": AMD_OPTERON_64,
-}
 
 
 @dataclasses.dataclass(frozen=True)

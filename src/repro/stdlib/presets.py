@@ -1,10 +1,8 @@
 """Named scenario presets: the repo's standing experiments as specs.
 
-These are the declarative equivalents of the hand-coded entry points
-that predate the stdlib: the two cluster scenarios behind ``repro
-cluster`` (whose old builders in :mod:`repro.cluster.config` are now
-thin shims over :func:`preset`), and a helper for the single-host storm
-shape the figure benchmarks use.
+The two standing cluster scenarios, which tests and benchmarks build
+cluster configs from (``preset(name, ...).to_cluster_config(seed)``),
+and a helper for the single-host storm shape the figure benchmarks use.
 """
 
 from __future__ import annotations
@@ -13,8 +11,7 @@ import typing
 
 from .spec import ScenarioSpec
 
-#: ``repro cluster --scenario boot-storm`` — a create ramp across N
-#: LightVM hosts (the generalized Fig 10 shape).
+#: A create ramp across N LightVM hosts (the generalized Fig 10 shape).
 BOOT_STORM: typing.Dict[str, object] = {
     "name": "boot-storm",
     "mode": "cluster",
@@ -30,8 +27,8 @@ BOOT_STORM: typing.Dict[str, object] = {
     "migrations": 0,
 }
 
-#: ``repro cluster --scenario migration-churn`` — boot a fleet, then
-#: churn guests between hosts (Fig 13 generalized to cluster placement).
+#: Boot a fleet, then churn guests between hosts (Fig 13 generalized to
+#: cluster placement); ``examples/migration_churn.yaml`` is this spec.
 MIGRATION_CHURN: typing.Dict[str, object] = {
     "name": "migration-churn",
     "mode": "cluster",

@@ -2,7 +2,9 @@
 
 ``run_scenario(spec, seed)`` is the single entry point every consumer —
 the ``repro run`` CLI, the sweep runner, the migrated figure benchmarks
-— goes through.  The outcome is a :class:`ScenarioResult` whose
+— goes through.  A cluster-mode run with ``workers > 1`` spreads its
+hosts over that many OS processes (the procs backend); otherwise it runs
+on the inline backend.  The outcome is a :class:`ScenarioResult` whose
 ``digest`` is the replay digest of the run's event timeline: for host
 mode, the host's :class:`~repro.analysis.sanitize.EventTrace`; for
 cluster mode, the combined per-host cluster digest.  The digest is a
@@ -55,10 +57,11 @@ class ScenarioResult:
 
 
 def run_scenario(spec: ScenarioSpec, seed: int = 0,
-                 keep_host: bool = False) -> ScenarioResult:
+                 keep_host: bool = False, workers: int = 1
+                 ) -> ScenarioResult:
     """Run ``spec`` once under ``seed``; returns the result + digest."""
     if spec.mode == "cluster":
-        return _run_cluster(spec, seed)
+        return _cluster_scenario(spec, seed, workers)
     runtime = spec.guest.runtime
     if runtime == "vm":
         return _vm_storm(spec, seed, keep_host)
@@ -74,10 +77,12 @@ def run_scenario(spec: ScenarioSpec, seed: int = 0,
 # Cluster mode
 # ----------------------------------------------------------------------
 
-def _run_cluster(spec: ScenarioSpec, seed: int) -> ScenarioResult:
+def _cluster_scenario(spec: ScenarioSpec, seed: int,
+                      workers: int) -> ScenarioResult:
     from ..cluster.cluster import Cluster
-    config = spec.to_cluster_config(seed)
-    result = Cluster(config, backend="inline").run()
+    backend = "procs" if workers > 1 else "inline"
+    result = Cluster(spec.to_cluster_config(seed), backend=backend,
+                     workers=workers).run()
     return ScenarioResult(scenario=spec.name, mode="cluster", seed=seed,
                           digest=result.digest, events=result.events,
                           sim_ms=result.sim_ms,

@@ -150,6 +150,15 @@ class ScenarioSpec:
         faults = resolve("faults", data.get("faults", "none@1"), "faults")
         placement = topology = None
         if mode == "cluster":
+            if host.xenstore_workers != 1 or host.xenstore_batch:
+                # ClusterConfig has no XenStore knobs: every cluster
+                # host runs the single-worker, unbatched daemon.
+                raise SpecTypeError(
+                    "host", "field 'host': cluster mode supports only "
+                    "xenstore_workers=1 and xenstore_batch=false, got "
+                    "%r and %r from %s" % (host.xenstore_workers,
+                                           host.xenstore_batch,
+                                           host.ref()))
             placement = resolve("placement", data["placement"],
                                 "placement")
             topology = resolve("topology", data["topology"], "topology")

@@ -7,7 +7,11 @@ are partitioned ``seed_index % workers``, every worker runs its share of
 seed order before building the manifest — so the **sweep manifest is a
 pure function of (resolved spec, seed set)**; the worker count is
 unobservable, which ``tests/test_stdlib_sweep.py`` holds it to across
-``--workers {1,2,4}``.
+``--workers {1,2,4}``.  The one exception to seed fan-out is a
+cluster-mode spec under a single seed: there the workers go to the
+cluster's hosts instead (:func:`workers_on_hosts`), and the manifest is
+still byte-identical, since cluster digests ignore backend and worker
+count.
 
 Along with :mod:`repro.cluster.procs`, this is the only module the
 RPR010 lint allowlist sanctions to import ``multiprocessing``: workers
@@ -27,13 +31,17 @@ import typing
 from .runner import run_scenario
 from .spec import ScenarioSpec
 
-#: Manifest schema version (mirrors the chaos/cluster reproducer
-#: contract).
+#: Manifest schema version (mirrors the chaos reproducer contract).
 MANIFEST_VERSION = 1
 
 
 class SweepError(RuntimeError):
-    """A sweep that cannot complete (dead worker, failed seed, ...)."""
+    """A sweep that cannot complete (dead worker, failed seed, ...) or a
+    malformed manifest, whose offending key ``field`` names."""
+
+    def __init__(self, message: str, field: typing.Optional[str] = None):
+        self.field = field
+        super().__init__(message)
 
 
 def _worker_main(conn, payload: dict,
@@ -111,13 +119,25 @@ def manifest_digest(spec_digest: str,
     return rollup.hexdigest()
 
 
+def workers_on_hosts(spec: ScenarioSpec, seeds: typing.Sequence[int],
+                     workers: int) -> bool:
+    """Whether a sweep spends its workers on hosts rather than seeds.
+
+    A cluster-mode spec under exactly one seed has no seeds to spread,
+    so ``workers > 1`` runs its hosts on the procs backend instead.
+    """
+    return spec.mode == "cluster" and len(seeds) == 1 and workers > 1
+
+
 def run_sweep(spec: ScenarioSpec, seeds: typing.Sequence[int],
               workers: int = 1) -> dict:
     """Run ``spec`` under every seed in ``seeds``; returns the manifest.
 
     ``workers == 1`` runs inline (no subprocesses); ``workers > 1`` fans
-    seeds out over the pool.  Either way the manifest — including its
-    digest — depends only on the resolved spec and the seed set.
+    seeds out over the pool, or hosts over the procs backend when
+    :func:`workers_on_hosts` says so.  Either way the manifest —
+    including its digest — depends only on the resolved spec and the
+    seed set.
     """
     seeds = list(seeds)
     if not seeds:
@@ -125,12 +145,14 @@ def run_sweep(spec: ScenarioSpec, seeds: typing.Sequence[int],
     if len(set(seeds)) != len(seeds):
         raise SweepError("duplicate seeds in sweep: %s"
                          % ", ".join(str(s) for s in seeds))
-    workers = max(1, min(int(workers), len(seeds)))
-    if workers == 1:
+    if workers_on_hosts(spec, seeds, workers):
+        records = [run_scenario(spec, seed=seeds[0],
+                                workers=workers).record()]
+    elif min(workers, len(seeds)) <= 1:
         records = [run_scenario(spec, seed=seed).record()
                    for seed in seeds]
     else:
-        records = _run_parallel(spec, seeds, workers)
+        records = _run_parallel(spec, seeds, min(workers, len(seeds)))
     records.sort(key=lambda record: record["seed"])
     spec_digest = spec.digest()
     totals: typing.Dict[str, float] = {}
@@ -163,15 +185,44 @@ def run_sweep(spec: ScenarioSpec, seeds: typing.Sequence[int],
             "manifest_digest": manifest_digest(spec_digest, records)}
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: The manifest keys a replay reads: (key, what it must be, check).
+_REPLAY_FIELDS = (
+    ("version", "the integer %d" % MANIFEST_VERSION,
+     lambda value: _is_int(value) and value == MANIFEST_VERSION),
+    ("spec", "a scenario spec mapping",
+     lambda value: isinstance(value, dict)),
+    ("seeds", "a non-empty list of integer seeds",
+     lambda value: isinstance(value, list) and bool(value)
+     and all(_is_int(seed) for seed in value)),
+    ("manifest_digest", "a digest string",
+     lambda value: isinstance(value, str)),
+)
+
+
 def replay_manifest(payload: dict, workers: int = 1
                     ) -> typing.Tuple[bool, dict]:
-    """Re-run a sweep manifest and verify its digest bit-for-bit."""
-    if payload.get("version") != MANIFEST_VERSION:
-        raise SweepError("unsupported manifest version %r"
-                         % (payload.get("version"),))
+    """Re-run a sweep manifest and verify its digest bit-for-bit.
+
+    A malformed manifest raises :class:`SweepError` whose ``field``
+    names the missing or ill-typed key.
+    """
+    if not isinstance(payload, dict):
+        raise SweepError("a sweep manifest must be a JSON object, got %s"
+                         % type(payload).__name__, field="manifest")
+    for key, expected, valid in _REPLAY_FIELDS:
+        if key not in payload:
+            raise SweepError("sweep manifest has no %r key" % key,
+                             field=key)
+        if not valid(payload[key]):
+            raise SweepError("manifest field %r: expected %s, got %r"
+                             % (key, expected, payload[key]), field=key)
     spec = ScenarioSpec.from_dict(payload["spec"])
-    result = run_sweep(spec, payload.get("seeds", []), workers=workers)
-    same = (result["manifest_digest"] == payload.get("manifest_digest")
+    result = run_sweep(spec, payload["seeds"], workers=workers)
+    same = (result["manifest_digest"] == payload["manifest_digest"]
             and result["spec_digest"] == payload.get("spec_digest"))
     return same, result
 

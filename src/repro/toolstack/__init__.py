@@ -13,7 +13,7 @@ via pluggable retry policies and clean rollback of failed operations.
 from .chaos import ChaosCosts, ChaosToolstack
 from .config import ConfigError, VMConfig, parse_config_text
 from .devices import (DeviceSetupError, MAX_TX_RETRIES, TX_RETRY_POLICY,
-                      XsDeviceManager, run_transaction)
+                      XsDeviceManager)
 from .hotplug import (BashHotplug, HotplugCosts, HotplugError, NullBridge,
                       Xendevd)
 from .migration import Checkpointer, MigrationCosts, SavedImage, migrate
@@ -52,5 +52,4 @@ __all__ = [
     "Xendevd",
     "migrate",
     "parse_config_text",
-    "run_transaction",
 ]

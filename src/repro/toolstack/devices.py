@@ -24,7 +24,6 @@ request was abandoned meanwhile — rolls its allocations back.
 from __future__ import annotations
 
 import typing
-import warnings
 
 from ..faults.plan import GrantMapFailure
 from ..faults.retry import RetryExhausted, RetryPolicy, ROLLBACK_POLICY
@@ -35,7 +34,6 @@ from ..xenstore.client import (MAX_TX_RETRIES, TX_RETRY_POLICY,  # noqa: F401
                                XsClient)
 from ..xenstore.daemon import XenStoreDaemon
 from ..xenstore.permissions import NodePerms, PERM_BOTH, PERM_READ
-from ..xenstore.transaction import TransactionConflict
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..sim.engine import Simulator
@@ -43,41 +41,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 class DeviceSetupError(RuntimeError):
     """Device creation failed permanently (retries exhausted)."""
-
-
-def run_transaction(sim, xenstore, body, policy: RetryPolicy = TX_RETRY_POLICY,
-                    rng=None, domid: int = DOM0_ID):
-    """Deprecated: use :meth:`repro.xenstore.client.XsClient.transaction`.
-
-    Generator: run ``body(tx)`` (a generator taking a **raw**
-    :class:`~repro.xenstore.transaction.Transaction` — the pre-redesign
-    body signature) inside a transaction, retrying conflicts with
-    exponential backoff + jitter.  Returns the number of retries;
-    raises :class:`RetryExhausted` past the policy's budget.
-    """
-    warnings.warn(
-        "run_transaction is deprecated; use XsClient.transaction",
-        DeprecationWarning, stacklevel=2)
-    retries = 0
-    started = sim.now
-    scale = xenstore.costs.conflict_backoff_ms / 1.0
-    with tracer_of(sim).span("xenstore.txn", domid=domid) as txn_span:
-        while True:
-            tx = yield from xenstore.transaction_start(domid)
-            try:
-                yield from body(tx)
-                yield from xenstore.transaction_commit(tx)
-                if retries:
-                    txn_span.set(retries=retries)
-                return retries
-            except TransactionConflict as exc:
-                retries += 1
-                if policy.give_up(retries, started, sim.now):
-                    txn_span.set(retries=retries)
-                    raise RetryExhausted(
-                        "transaction retries exhausted (%d)"
-                        % retries) from exc
-                yield sim.timeout(scale * policy.backoff_ms(retries, rng))
 
 
 class XsDeviceManager:

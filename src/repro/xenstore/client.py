@@ -1,9 +1,8 @@
 """First-class XenStore client handles: ``XsClient`` / ``XsBatch`` / ``XsTxn``.
 
-The pre-redesign toolstack drove the daemon through raw ``yield from
-xenstore.op_write(domid, ...)`` generators, threading ``domid`` through
-every call and hand-rolling transaction retry loops at each site.  This
-module is the redesigned surface:
+Control-plane code never drives raw daemon generators with a ``domid``
+threaded through every call, nor hand-rolls transaction retry loops at
+each site.  This module is its surface:
 
 * :class:`XsClient` — a per-domain connection handle (``read`` /
   ``write`` / ``mkdir`` / ``rm`` / ``watch`` / ...) that binds the
@@ -182,9 +181,9 @@ class XsClient:
         ``base_ms`` of the schedule scales with the store's configured
         ``conflict_backoff_ms``.
         """
-        return self._run_transaction(body, policy or TX_RETRY_POLICY, rng)
+        return self._retry_transaction(body, policy or TX_RETRY_POLICY, rng)
 
-    def _run_transaction(self, body, policy: RetryPolicy, rng):
+    def _retry_transaction(self, body, policy: RetryPolicy, rng):
         daemon = self.daemon
         sim = daemon.sim
         retries = 0

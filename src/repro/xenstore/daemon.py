@@ -25,10 +25,6 @@ shard, ops acquire their shard locks in ascending index order
 transaction commit validation) take every shard.  ``batch_ops=True``
 additionally lets clients coalesce N mutations into a single message
 round trip (:meth:`XenStoreDaemon.apply_batch`).
-
-The pre-redesign ``op_*`` / ``tx_*`` method names remain as thin
-deprecation shims that forward to the canonical verbs; new code goes
-through :class:`repro.xenstore.client.XsClient`.
 """
 
 from __future__ import annotations
@@ -36,7 +32,6 @@ from __future__ import annotations
 import functools
 import math
 import typing
-import warnings
 import zlib
 
 from ..faults.plan import (NULL_INJECTOR, DaemonRestarted, MessageTimeout,
@@ -890,42 +885,3 @@ class XenStoreDaemon:
         tx.abort()
         yield from self._log_access()
 
-
-# ----------------------------------------------------------------------
-# Legacy surface: pre-redesign op_*/tx_* names as deprecation shims
-# ----------------------------------------------------------------------
-def _legacy_shim(legacy_name: str, new_name: str):
-    def shim(self, *args, **kwargs):
-        warnings.warn(
-            "XenStoreDaemon.%s is deprecated; go through "
-            "repro.xenstore.client.XsClient (daemon verb: %s)"
-            % (legacy_name, new_name),
-            DeprecationWarning, stacklevel=2)
-        return (yield from getattr(self, new_name)(*args, **kwargs))
-    shim.__name__ = legacy_name
-    shim.__qualname__ = "XenStoreDaemon.%s" % legacy_name
-    shim.__doc__ = ("Deprecated pre-redesign alias for "
-                    ":meth:`XenStoreDaemon.%s`." % new_name)
-    return shim
-
-
-_LEGACY_NAMES = {
-    "op_read": "read",
-    "op_write": "write",
-    "op_get_perms": "get_perms",
-    "op_set_perms": "set_perms",
-    "op_mkdir": "mkdir",
-    "op_rm": "rm",
-    "op_directory": "directory",
-    "op_watch": "watch",
-    "op_unwatch": "unwatch",
-    "op_check_unique_name": "check_unique_name",
-    "tx_read": "txn_read",
-    "tx_exists": "txn_exists",
-    "tx_write": "txn_write",
-    "tx_rm": "txn_rm",
-}
-
-for _legacy, _new in _LEGACY_NAMES.items():
-    setattr(XenStoreDaemon, _legacy, _legacy_shim(_legacy, _new))
-del _legacy, _new

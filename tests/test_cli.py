@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import json
+import pathlib
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -142,7 +145,6 @@ class TestCommands:
         assert "phase attribution" in out
         assert "xenstore" in out
         assert "wrote" in out
-        import json
         document = json.loads(out_file.read_text())
         assert document["traceEvents"]
 
@@ -156,7 +158,6 @@ class TestCommands:
     def test_metrics_json_mode(self, capsys):
         assert main(["metrics", "--count", "3", "--variant", "lightvm",
                      "--json"]) == 0
-        import json
         payload = json.loads(capsys.readouterr().out)
         assert payload["memory/guest_kb"]["kind"] == "gauge"
         assert payload["shellpool/target"]["value"] >= 3
@@ -243,7 +244,6 @@ class TestUnikernelBuildCommand:
 class TestBenchCommands:
     @staticmethod
     def _write(directory, figure, wall_clock_s):
-        import json
         (directory / ("BENCH_%s.json" % figure)).write_text(json.dumps(
             {"figure": figure, "title": figure, "scale": "quick",
              "wall_clock_s": wall_clock_s, "data": {}}))
@@ -265,7 +265,6 @@ class TestBenchCommands:
         assert "no such" in capsys.readouterr().err.lower()
 
     def test_bench_gate_pass_and_fail(self, tmp_path, capsys):
-        import json
         baseline = tmp_path / "baseline.json"
         baseline.write_text(json.dumps(
             {"metric": "timer_wheel", "required_speedup": 2.0,
@@ -295,7 +294,6 @@ class TestBenchCommands:
         assert capsys.readouterr().err
 
     def test_bench_gate_figures_only(self, tmp_path, capsys):
-        import json
         baseline = tmp_path / "baseline.json"
         baseline.write_text(json.dumps(
             {"figures": {"fig10": {"scale": "quick", "require": {
@@ -324,3 +322,37 @@ class TestBenchCommands:
                      "--baseline", str(baseline),
                      "--figures", str(figures)]) == 1
         assert "below the required minimum" in capsys.readouterr().out
+
+
+class TestRunCommand:
+    STORM = str(pathlib.Path(__file__).resolve().parent.parent
+                / "examples" / "cluster_storm.yaml")
+
+    def test_cluster_storm_workers_pick_the_backend(self, tmp_path,
+                                                    monkeypatch, capsys):
+        from repro.cluster.cluster import Cluster
+        backends = []
+        run = Cluster.run
+
+        def spy(cluster):
+            backends.append(cluster.backend_name)
+            return run(cluster)
+        monkeypatch.setattr(Cluster, "run", spy)
+        digests = []
+        for workers in ("1", "4"):
+            out = tmp_path / ("storm-%s.json" % workers)
+            assert main(["run", self.STORM, "--seed", "1", "--workers",
+                         workers, "--out", str(out)]) == 0
+            digests.append(json.loads(out.read_text())["manifest_digest"])
+        assert backends == ["inline", "procs"]
+        assert digests[0] == digests[1]
+        assert main(["run", "--replay", str(out)]) == 0
+        assert "reproduced" in capsys.readouterr().out
+
+    def test_malformed_manifest_replay_exits_2(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text('{"version": 1}')
+        assert main(["run", "--replay", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert "'spec'" in err
+        assert "Traceback" not in err

@@ -1,20 +1,11 @@
-"""Shared CLI flag conventions: seed sets, one-shot deprecation warnings."""
+"""Shared CLI flag conventions: seed sets across ``run`` and ``chaos``."""
 
 import argparse
-import io
+import json
 
 import pytest
 
-from repro import cli_flags
-from repro.cli_flags import (contiguous_range, parse_seed_set, seed_set,
-                             warn_once)
-
-
-@pytest.fixture(autouse=True)
-def _fresh_warnings():
-    cli_flags.reset_warnings()
-    yield
-    cli_flags.reset_warnings()
+from repro.cli_flags import contiguous_range, parse_seed_set, seed_set
 
 
 class TestParseSeedSet:
@@ -67,45 +58,21 @@ class TestContiguousRange:
         assert contiguous_range([]) is None
 
 
-class TestWarnOnce:
-    def test_warns_exactly_once_per_key(self):
-        stream = io.StringIO()
-        assert warn_once("k", "old spelling", stream=stream) is True
-        assert warn_once("k", "old spelling", stream=stream) is False
-        assert stream.getvalue().count("old spelling") == 1
-        assert stream.getvalue().startswith("repro: warning:")
-
-    def test_distinct_keys_each_warn(self):
-        stream = io.StringIO()
-        warn_once("a", "first", stream=stream)
-        warn_once("b", "second", stream=stream)
-        assert "first" in stream.getvalue()
-        assert "second" in stream.getvalue()
-
-    def test_reset_allows_rewarning(self):
-        stream = io.StringIO()
-        warn_once("k", "again", stream=stream)
-        cli_flags.reset_warnings()
-        assert warn_once("k", "again", stream=stream) is True
-
-
 class TestCliIntegration:
-    def test_run_and_cluster_share_the_seeds_spelling(self):
+    def test_run_and_chaos_share_the_seeds_spelling(self):
         from repro.cli import build_parser
         parser = build_parser()
         run_args = parser.parse_args(["run", "x.yaml", "--seeds", "0..3"])
-        cluster_args = parser.parse_args(["cluster", "--seeds", "0..3"])
-        assert run_args.seeds == cluster_args.seeds == [0, 1, 2, 3]
+        chaos_args = parser.parse_args(["chaos", "--seeds", "0..3"])
+        assert run_args.seeds == chaos_args.seeds == [0, 1, 2, 3]
+        assert parser.parse_args(["chaos"]).seeds == list(range(16))
 
-    def test_chaos_deprecated_count_spelling_warns_once(self, capsys):
+    def test_chaos_bare_integer_is_one_seed(self, capsys):
         from repro.cli import main
-        # Campaign over 2 consecutive seeds, the old spelling.
         code = main(["chaos", "--seeds", "2", "--count", "2",
                      "--occurrences", "4", "--rules", "1"])
-        err = capsys.readouterr().err
         assert code in (0, 1)
-        assert "deprecated" in err
-        assert "--seeds 0..1" in err
+        assert "1 seeded run(s)" in capsys.readouterr().out
 
     def test_chaos_canonical_range_does_not_warn(self, capsys):
         from repro.cli import main
@@ -120,20 +87,13 @@ class TestCliIntegration:
             main(["chaos", "--seeds", "0,2,7"])
         assert "contiguous" in capsys.readouterr().err
 
-    def test_cluster_churn_scenario_warns_once(self, capsys):
+    def test_cluster_seed_set_runs_every_seed(self, capsys, tmp_path):
         from repro.cli import main
-        code = main(["cluster", "--scenario", "churn", "--hosts", "2",
-                     "--guests", "4"])
-        assert code == 0
-        out = capsys.readouterr()
-        assert "deprecated" in out.err
-        assert "migration-churn" in out.out  # ran the canonical scenario
-
-    def test_cluster_seed_set_runs_every_seed(self, capsys):
-        from repro.cli import main
-        code = main(["cluster", "--hosts", "2", "--guests", "4",
-                     "--seeds", "0..1"])
-        assert code == 0
+        from repro.stdlib import preset
+        spec = tmp_path / "cluster.json"
+        spec.write_text(json.dumps(preset("boot-storm", hosts=2,
+                                          guests=4).source))
+        assert main(["run", str(spec), "--seeds", "0..1"]) == 0
         out = capsys.readouterr().out
         assert "seed 0" in out
         assert "seed 1" in out

@@ -1,6 +1,7 @@
 """Unit tests for the repro.cluster layer (config, placement,
-controller, messages, node wiring, reproducer round-trip)."""
+controller, messages, node wiring, manifest round-trip)."""
 
+import dataclasses
 import json
 
 import pytest
@@ -8,9 +9,17 @@ import pytest
 from repro.cluster import (CONTROLLER, Cluster, ClusterConfig,
                            ClusterConfigError, ClusterError,
                            ClusterMessage, Controller, Placement,
-                           PlacementError, boot_storm, host_seed,
-                           migration_churn, replay_reproducer,
-                           run_cluster, sort_canonical)
+                           PlacementError, host_seed, sort_canonical)
+from repro.stdlib import (ScenarioSpec, SweepError, UnknownSpecKeyError,
+                          preset, replay_manifest, run_sweep)
+
+
+def _config(name, seed=0, **workload):
+    return preset(name, **workload).to_cluster_config(seed)
+
+
+def _run(name, seed=0, **workload):
+    return Cluster(_config(name, seed, **workload)).run()
 
 
 # ----------------------------------------------------------------------
@@ -42,14 +51,13 @@ class TestClusterConfig:
             ClusterConfig(image="no-such-image").validate()
 
     def test_round_trips_through_json(self):
-        config = migration_churn(hosts=3, seed=7, guests=9,
-                                 requests=12)
-        payload = json.loads(json.dumps(config.to_dict()))
-        assert ClusterConfig.from_dict(payload) == config
+        spec = preset("migration-churn", hosts=3, guests=9, requests=12)
+        again = ScenarioSpec.from_dict(json.loads(json.dumps(spec.source)))
+        assert again.to_cluster_config(7) == spec.to_cluster_config(7)
 
     def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ClusterConfigError, match="unknown config"):
-            ClusterConfig.from_dict({"hosts": 2, "warp_factor": 9})
+        with pytest.raises(UnknownSpecKeyError, match="warp_factor"):
+            preset("boot-storm", hosts=2, warp_factor=9)
 
     def test_requests_split_covers_budget(self):
         config = ClusterConfig(hosts=3, requests=10)
@@ -148,14 +156,15 @@ def _created(gid, src, epoch=0, seq=0):
 
 class TestController:
     def test_seed_barrier_issues_nothing_before_ramp(self):
-        config = boot_storm(hosts=2, guests=4)
+        config = _config("boot-storm", hosts=2, guests=4)
         controller = Controller(config)
         assert controller.barrier(-1, 0.0, []) == []
         assert not controller.done
 
     def test_creates_arrive_at_exact_ramp_instants(self):
-        config = boot_storm(hosts=2, guests=4, create_start_ms=10.0,
-                            create_spacing_ms=3.0)
+        config = dataclasses.replace(
+            _config("boot-storm", hosts=2, guests=4), create_start_ms=10.0,
+            create_spacing_ms=3.0)
         controller = Controller(config)
         out = []
         barrier = 0.0
@@ -173,7 +182,8 @@ class TestController:
             assert m.send_ms <= m.arrive_ms < m.send_ms + config.epoch_ms
 
     def test_completion_report_triggers_directory_broadcast(self):
-        config = boot_storm(hosts=3, guests=1, create_start_ms=1.0)
+        config = dataclasses.replace(
+            _config("boot-storm", hosts=3, guests=1), create_start_ms=1.0)
         controller = Controller(config)
         controller.barrier(-1, 0.0, [])  # issues the single create
         out = controller.barrier(0, 5.0, [_created(0, src=0)])
@@ -185,7 +195,8 @@ class TestController:
         assert controller.done
 
     def test_failed_create_releases_placement(self):
-        config = boot_storm(hosts=1, guests=1, create_start_ms=1.0)
+        config = dataclasses.replace(
+            _config("boot-storm", hosts=1, guests=1), create_start_ms=1.0)
         controller = Controller(config)
         controller.barrier(-1, 0.0, [])
         fail = ClusterMessage(kind="create_failed", src=0,
@@ -196,9 +207,9 @@ class TestController:
         assert controller.done
 
     def test_migration_waits_for_storm_to_settle(self):
-        config = migration_churn(hosts=2, guests=2, migrations=1,
-                                 create_start_ms=1.0,
-                                 create_spacing_ms=1.0)
+        config = dataclasses.replace(
+            _config("migration-churn", hosts=2, guests=2, migrations=1),
+            create_start_ms=1.0, create_spacing_ms=1.0)
         controller = Controller(config)
         out = controller.barrier(-1, 0.0, [])
         assert not any(m.kind == "migrate_out" for m in out)
@@ -211,10 +222,10 @@ class TestController:
         assert migs[0].dst == 0 and migs[0].payload == (0, 1)
 
     def test_migration_moves_from_most_to_least_loaded(self):
-        config = migration_churn(hosts=2, guests=2, migrations=1,
-                                 create_start_ms=1.0,
-                                 create_spacing_ms=1.0,
-                                 placement="first-fit")
+        config = dataclasses.replace(
+            _config("migration-churn", hosts=2, guests=2, migrations=1,
+                    placement="first-fit@1"),
+            create_start_ms=1.0, create_spacing_ms=1.0)
         controller = Controller(config)
         controller.barrier(-1, 0.0, [])
         out = controller.barrier(0, 5.0, [_created(0, src=0),
@@ -237,85 +248,87 @@ class TestController:
 
 class TestClusterRuns:
     def test_boot_storm_boots_every_guest(self):
-        result = run_cluster("boot-storm", hosts=3, guests=6)
+        result = _run("boot-storm", hosts=3, guests=6)
         assert result.stats["booted"] == 6
         assert result.stats["create_failed"] == 0
         assert result.stats["guests_running"] == 6
         assert len(result.host_digests) == 3
 
     def test_requests_all_resolve(self):
-        result = run_cluster("boot-storm", hosts=2, guests=4,
-                             requests=30)
+        result = _run("boot-storm", hosts=2, guests=4, requests=30)
         stats = result.stats
         assert stats["requests_sent"] == 30
         assert stats["responses"] + stats["unrouted"] == 30
 
     def test_churn_completes_requested_migrations(self):
-        result = run_cluster("migration-churn", hosts=3, guests=6,
-                             migrations=2)
+        result = _run("migration-churn", hosts=3, guests=6, migrations=2)
         assert result.stats["migrations_done"] + \
             result.stats["migrations_failed"] == 2
 
     def test_result_is_reproducible(self):
-        first = run_cluster("boot-storm", hosts=2, guests=4, seed=3)
-        second = run_cluster("boot-storm", hosts=2, guests=4, seed=3)
+        first = _run("boot-storm", hosts=2, guests=4, seed=3)
+        second = _run("boot-storm", hosts=2, guests=4, seed=3)
         assert first.digest == second.digest
         assert first.host_digests == second.host_digests
 
     def test_seed_changes_digest(self):
         # The seed enters through the RNG streams, so the scenario needs
         # stochastic traffic for seeds to produce distinct timelines.
-        a = run_cluster("boot-storm", hosts=2, guests=4, requests=20,
-                        seed=0)
-        b = run_cluster("boot-storm", hosts=2, guests=4, requests=20,
-                        seed=1)
+        a = _run("boot-storm", hosts=2, guests=4, requests=20, seed=0)
+        b = _run("boot-storm", hosts=2, guests=4, requests=20, seed=1)
         assert a.digest != b.digest
 
     def test_digest_combines_host_digests(self):
         from repro.analysis import combine_digests
-        result = run_cluster("boot-storm", hosts=2, guests=4)
+        result = _run("boot-storm", hosts=2, guests=4)
         assert result.digest == combine_digests(result.host_digests)
 
     def test_unknown_backend_rejected(self):
-        config = boot_storm(hosts=2, guests=2)
+        config = _config("boot-storm", hosts=2, guests=2)
         with pytest.raises(ClusterConfigError, match="backend"):
             Cluster(config, backend="gpu")
 
+    def test_inexact_epoch_length_keeps_creates_in_their_window(self):
+        # 95 * 2.2 rounds above 209.0, the second ramp instant.
+        config = ClusterConfig(hosts=1, guests=5, epoch_ms=2.2,
+                               net_latency_ms=2.2)
+        assert Cluster(config).run().stats["booted"] == 5
+
     def test_livelock_guard_raises(self):
-        config = boot_storm(hosts=2, guests=4, max_epochs=3)
+        config = dataclasses.replace(
+            _config("boot-storm", hosts=2, guests=4), max_epochs=3)
         with pytest.raises(ClusterError, match="no quiescence"):
             Cluster(config).run()
 
 
 # ----------------------------------------------------------------------
-# Reproducer JSON round-trip (chaos conventions)
+# Reproducer round-trip: a cluster run's reproducer is its sweep manifest
 # ----------------------------------------------------------------------
 
 class TestReproducer:
     def test_replay_reproduces_recorded_digest(self):
-        result = run_cluster("boot-storm", hosts=2, guests=4, seed=5,
-                             requests=10)
-        same, replayed = replay_reproducer(result.to_dict())
+        manifest = run_sweep(preset("boot-storm", hosts=2, guests=4,
+                                    requests=10), [5])
+        same, replayed = replay_manifest(manifest)
         assert same
-        assert replayed.digest == result.digest
+        assert replayed["runs"] == manifest["runs"]
 
     def test_replay_detects_divergence(self):
-        result = run_cluster("boot-storm", hosts=2, guests=4)
-        payload = result.to_dict()
-        payload["digest"] = "0" * 64
-        same, _replayed = replay_reproducer(payload)
+        manifest = run_sweep(preset("boot-storm", hosts=2, guests=4), [0])
+        manifest["manifest_digest"] = "0" * 64
+        same, _replayed = replay_manifest(manifest)
         assert not same
 
     def test_replay_rejects_unknown_version(self):
-        result = run_cluster("boot-storm", hosts=2, guests=4)
-        payload = result.to_dict()
-        payload["version"] = 999
-        with pytest.raises(ClusterConfigError, match="version"):
-            replay_reproducer(payload)
+        manifest = run_sweep(preset("boot-storm", hosts=2, guests=4), [0])
+        manifest["version"] = 999
+        with pytest.raises(SweepError, match="version"):
+            replay_manifest(manifest)
 
     def test_reproducer_is_json_clean(self):
-        result = run_cluster("migration-churn", hosts=2, guests=4,
-                             migrations=1, requests=8)
-        payload = json.loads(json.dumps(result.to_dict()))
-        assert payload["tool"] == "repro cluster"
-        assert payload["digest"] == result.digest
+        workload = dict(hosts=2, guests=4, migrations=1, requests=8)
+        manifest = run_sweep(preset("migration-churn", **workload), [0])
+        payload = json.loads(json.dumps(manifest))
+        assert payload["tool"] == "repro run"
+        assert payload["runs"][0]["digest"] == \
+            _run("migration-churn", **workload).digest

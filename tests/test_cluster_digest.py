@@ -9,19 +9,24 @@ fault-injected and recovery-enabled runs.
 
 import pytest
 
-from repro.cluster import Cluster, boot_storm, migration_churn
+from repro.cluster import Cluster
+from repro.stdlib import preset
 
 SEEDS = (0, 1, 2)
 WORKER_COUNTS = (1, 2, 4)
 
 
+def _config(name, seed, **workload):
+    return preset(name, **workload).to_cluster_config(seed)
+
+
 def _boot_storm(seed):
-    return boot_storm(hosts=4, seed=seed, guests=8, requests=24)
+    return _config("boot-storm", seed, hosts=4, guests=8, requests=24)
 
 
 def _churn(seed):
-    return migration_churn(hosts=4, seed=seed, guests=8, migrations=2,
-                           requests=24)
+    return _config("migration-churn", seed, hosts=4, guests=8,
+                   migrations=2, requests=24)
 
 
 SCENARIOS = {"boot-storm": _boot_storm, "migration-churn": _churn}
@@ -59,9 +64,11 @@ def test_worker_count_does_not_leak_into_result():
 
 def test_faulty_run_matches_inline():
     def config():
-        return migration_churn(hosts=3, seed=1, guests=6, migrations=2,
-                               requests=18, fault_rate=0.2,
-                               variant="chaos+xs")
+        return _config("migration-churn", 1, hosts=3, guests=6,
+                       migrations=2, requests=18,
+                       faults={"ref": "none@1", "rate": 0.2},
+                       host={"ref": "lightvm-64core@1",
+                             "variant": "chaos+xs"})
     reference = _inline(config())
     result = _procs(config(), 2)
     assert result.digest == reference.digest
@@ -70,8 +77,9 @@ def test_faulty_run_matches_inline():
 
 def test_recovery_run_matches_inline():
     def config():
-        return boot_storm(hosts=3, seed=2, guests=6, requests=18,
-                          fault_rate=0.2, recovery=True)
+        return _config("boot-storm", 2, hosts=3, guests=6, requests=18,
+                       faults={"ref": "none@1", "rate": 0.2,
+                               "recovery": True})
     reference = _inline(config())
     result = _procs(config(), 3)
     assert result.digest == reference.digest
@@ -79,14 +87,15 @@ def test_recovery_run_matches_inline():
 
 
 def test_workers_clamped_to_host_count():
-    result = _procs(boot_storm(hosts=2, seed=0, guests=4), 16)
+    def config():
+        return _config("boot-storm", 0, hosts=2, guests=4)
+    result = _procs(config(), 16)
     assert result.workers == 2
-    assert result.digest == _inline(boot_storm(hosts=2, seed=0,
-                                               guests=4)).digest
+    assert result.digest == _inline(config()).digest
 
 
 def test_first_fit_placement_matches_inline():
     def config():
-        return boot_storm(hosts=3, seed=0, guests=6, requests=12,
-                          placement="first-fit")
+        return _config("boot-storm", 0, hosts=3, guests=6, requests=12,
+                       placement="first-fit@1")
     assert _procs(config(), 2).digest == _inline(config()).digest

@@ -76,11 +76,23 @@ class TestClusterMode:
 
     def test_cluster_digest_matches_hand_coded_path(self):
         from repro.cluster import Cluster
-        from repro.cluster.config import boot_storm
         spec = preset("boot-storm", hosts=2, guests=8)
-        direct = Cluster(boot_storm(hosts=2, seed=5, guests=8),
-                         backend="inline").run()
+        direct = Cluster(spec.to_cluster_config(5), backend="inline").run()
         assert run_scenario(spec, seed=5).digest == direct.digest
+
+    def test_workers_put_hosts_on_the_procs_backend(self):
+        spec = preset("boot-storm", hosts=2, guests=8)
+        inline = run_scenario(spec, seed=5)
+        procs = run_scenario(spec, seed=5, workers=2)
+        assert (inline.cluster.backend, procs.cluster.backend) == \
+            ("inline", "procs")
+        assert procs.cluster.workers == 2
+        assert procs.record() == inline.record()
+
+    def test_spec_accepts_every_host_spec_in_the_table(self):
+        spec = preset("boot-storm", hosts=2, guests=2,
+                      host={"ref": "lightvm@1", "spec": "xeon-e5-2690"})
+        assert run_scenario(spec).stats["booted"] == 2
 
 
 class TestHandCodedIdentity:

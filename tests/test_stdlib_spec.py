@@ -156,6 +156,17 @@ class TestClusterLowering:
         assert config.epoch_ms == 4.0
         assert config.create_spacing_ms == 7.0
 
+    @pytest.mark.parametrize("host", [
+        "lightvm-batched@1",
+        {"ref": "chaos+xs@1", "xenstore_workers": 4},
+        {"ref": "chaos+xs@1", "xenstore_batch": True},
+    ])
+    def test_cluster_mode_rejects_xenstore_knobs(self, host):
+        # ClusterConfig cannot carry them, so they would be dropped.
+        with pytest.raises(SpecTypeError) as err:
+            ScenarioSpec.from_dict(dict(BOOT_STORM, host=host))
+        assert err.value.field == "host"
+
 
 class TestDocumentLoading:
     def test_yaml_document_parses(self):
@@ -178,7 +189,7 @@ class TestDocumentLoading:
         import pathlib
         from repro.stdlib import load_spec
         root = pathlib.Path(__file__).resolve().parent.parent
-        for name in ("boot_storm.yaml", "fig10_density.yaml",
-                     "migration_churn.yaml"):
+        for name in ("boot_storm.yaml", "cluster_storm.yaml",
+                     "fig10_density.yaml", "migration_churn.yaml"):
             spec = load_spec(root / "examples" / name)
             assert spec.digest()

@@ -126,6 +126,24 @@ class TestReplay:
         with pytest.raises(SweepError):
             replay_manifest(manifest)
 
+    @pytest.mark.parametrize("field, value", [
+        ("version", None), ("version", "1"), ("version", True),
+        ("spec", None), ("spec", "boot-storm"),
+        ("seeds", None), ("seeds", "0..3"), ("seeds", []),
+        ("seeds", [0, "1"]),
+        ("manifest_digest", None), ("manifest_digest", 7),
+    ])
+    def test_malformed_manifest_names_the_field(self, field, value):
+        manifest = {"version": 1, "spec": dict(_spec().source),
+                    "seeds": [0], "manifest_digest": "0" * 64}
+        if value is None:
+            del manifest[field]
+        else:
+            manifest[field] = value
+        with pytest.raises(SweepError) as err:
+            replay_manifest(manifest)
+        assert err.value.field == field
+
 
 class TestBenchPayload:
     def test_payload_has_bench_schema(self):

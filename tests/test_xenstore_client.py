@@ -1,12 +1,10 @@
-"""Client API semantics: XsClient handles, XsBatch, XsTxn, shims.
+"""Client API semantics: XsClient handles, XsBatch, XsTxn.
 
-Covers the PR-5 satellite checklist: batch partial-failure atomicity,
-watch events firing once per batched write, quota charged per node (not
-per batch), the deprecation shims, and the ambient-client invariant
-(register/unregister pairing, including the migration-destination fix).
+Covers batch partial-failure atomicity, watch events firing once per
+batched write, quota charged per node (not per batch), and the
+ambient-client invariant (register/unregister pairing, including the
+migration-destination fix).
 """
-
-import warnings
 
 import pytest
 
@@ -247,45 +245,6 @@ class TestClientTransactions:
         assert xs.stats["ops"] == 3
         assert xs.stats["batches"] == 1
         assert xs.stats["commits"] == 1
-
-
-# ----------------------------------------------------------------------
-# Deprecation shims
-# ----------------------------------------------------------------------
-
-class TestDeprecationShims:
-    def test_op_shims_warn_and_delegate(self):
-        sim, xs = make_daemon()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            drive(sim, xs.op_write(0, "/legacy", "v"))
-            value = drive(sim, xs.op_read(0, "/legacy"))
-        assert value == "v"
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 2
-        assert "XsClient" in str(deprecations[0].message)
-
-    def test_tx_shims_warn_and_delegate(self):
-        sim, xs = make_daemon()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-
-            def run():
-                tx = yield from xs.transaction_start(0)
-                yield from xs.tx_write(tx, "/t", "1")
-                yield from xs.transaction_commit(tx)
-            drive(sim, run())
-        assert xs.tree.read("/t") == "1"
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-
-    def test_every_legacy_name_is_shimmed(self):
-        from repro.xenstore.daemon import _LEGACY_NAMES
-        for legacy, new in _LEGACY_NAMES.items():
-            assert hasattr(XenStoreDaemon, legacy)
-            assert hasattr(XenStoreDaemon, new)
-            assert "Deprecated" in getattr(XenStoreDaemon, legacy).__doc__
 
 
 # ----------------------------------------------------------------------

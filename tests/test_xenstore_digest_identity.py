@@ -13,8 +13,6 @@ path.
 
 Also pinned here:
 
-* the legacy ``op_*`` / ``tx_*`` deprecation shims are digest-neutral
-  (a shimmed run replays identically to a canonical-verb run);
 * the client handle layer is digest-neutral over both daemons;
 * ``workers>1`` dispatch is deterministic: identical replays for any
   seed, including under concurrent multi-process interleavings
@@ -75,34 +73,8 @@ def test_workers1_digest_identical_to_frozen_daemon(name, seed,
 
 
 # ----------------------------------------------------------------------
-# Shim and client layers are digest-neutral on one daemon
+# The client layer is digest-neutral on one daemon
 # ----------------------------------------------------------------------
-
-def _storm_via_legacy_shims(sim, seed):
-    """A mixed op storm spelled with the deprecated ``op_*`` surface."""
-    xs = XenStoreDaemon(sim, rng=None)
-
-    def drive():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            for index in range(seed % 3 + 4):
-                base = "/local/domain/%d" % index
-                yield from xs.op_mkdir(0, base)
-                yield from xs.op_write(0, base + "/name", "g%d" % index)
-                yield from xs.op_check_unique_name(0, "h%d" % index)
-                watch = yield from xs.op_watch(0, base, "t", lambda p, t: 0)
-                yield from xs.op_write(0, base + "/state", "up")
-                value = yield from xs.op_read(0, base + "/name")
-                assert value == "g%d" % index
-                yield from xs.op_directory(0, base)
-                tx = yield from xs.transaction_start(0)
-                yield from xs.tx_write(tx, base + "/memory/target", "64")
-                yield from xs.tx_read(tx, base + "/name")
-                yield from xs.transaction_commit(tx)
-                yield from xs.op_unwatch(0, watch)
-                yield from xs.op_rm(0, base)
-    sim.run(until=sim.process(drive()))
-
 
 def _storm_via_canonical_verbs(sim, seed):
     """The same storm on the canonical daemon verbs."""
@@ -153,14 +125,6 @@ def _storm_via_client(daemon_cls):
                 yield from client.rm(base)
         sim.run(until=sim.process(drive()))
     return scenario
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_legacy_shims_are_digest_neutral(seed):
-    shimmed = run_traced(Simulator, _storm_via_legacy_shims, seed)
-    canonical = run_traced(Simulator, _storm_via_canonical_verbs, seed)
-    assert shimmed.events == canonical.events > 0
-    assert shimmed.digest() == canonical.digest()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
