@@ -40,7 +40,7 @@ ID          severity   hazard
                        ``multiprocessing`` / ``asyncio`` /
                        ``concurrent.futures`` imports in simulation code
                        (preemption breaks replay determinism; parallelism
-                       belongs in an allowlisted process runner)
+                       belongs in the allowlisted worker pool)
 ``RPR000``  error      a ``# noqa: RPRxxx`` suppression without a
                        justification
 ==========  =========  ====================================================
@@ -592,20 +592,13 @@ class KernelClosureRule(LintRule):
                         "entry instead")
 
 
-#: Paths where RPR010 does not apply.  Exactly two modules are
-#: sanctioned, both *runners* that fan whole, independent DES timelines
-#: out over OS processes and exchange nothing mid-timeline:
-#: ``repro/cluster/procs.py`` (per-host engines under deterministic
-#: epoch-barrier message exchange) and ``repro/stdlib/sweep.py`` (whole
-#: (spec, seed) scenario runs, one digest each, merged seed-ordered).
-#: Scenario and coordination code — ``repro/cluster/`` node/controller/
-#: placement, the stdlib spec/runner modules — runs *inside* the DES
-#: timeline and stays banned like any other sim code; widening this list
-#: beyond the runners would let a second scheduler leak into code the
-#: replay digest is supposed to pin.
+#: Paths where RPR010 does not apply: only the worker pool, which fans
+#: whole, independent DES timelines out over OS processes for both
+#: process runners.  The runners and all scenario and coordination code
+#: stay banned; widening this list would let a second scheduler leak
+#: into code the replay digest is supposed to pin.
 RPR010_ALLOWED_PATHS: typing.List["re.Pattern"] = [
-    re.compile(r"repro[\\/]cluster[\\/]procs\.py$"),
-    re.compile(r"repro[\\/]stdlib[\\/]sweep\.py$"),
+    re.compile(r"repro[\\/]pool\.py$"),
 ]
 
 
@@ -619,10 +612,9 @@ class RealConcurrencyRule(LintRule):
     whose interleavings the replay digest cannot pin — the race tooling
     in :mod:`repro.analysis.races` reasons about ``sim.Resource`` locks
     precisely because they are the only legal synchronisation.  Paths in
-    :data:`RPR010_ALLOWED_PATHS` (the cluster procs backend and the
-    sweep runner) are exempt; anywhere else, a justified noqa must argue the import never
-    touches the timeline (e.g. tooling that only post-processes
-    artifacts).
+    :data:`RPR010_ALLOWED_PATHS` (the worker pool) are exempt; anywhere
+    else, a justified noqa must argue the import never touches the
+    timeline (e.g. tooling that only post-processes artifacts).
     """
 
     id = "RPR010"

@@ -517,6 +517,7 @@ def _cmd_run(args) -> int:
     import json
     import time  # noqa: RPR002 -- wall-clock only annotates the CLI report; it is read outside the simulated timeline
 
+    from .pool import clamp
     from .stdlib import (ComponentError, SpecError, SweepError, load_spec,
                          replay_manifest, run_sweep, workers_on_hosts,
                          write_bench_json)
@@ -571,7 +572,7 @@ def _cmd_run(args) -> int:
           "%.2f s wall"
           % (manifest["scenario"], manifest["mode"],
              len(manifest["runs"]),
-             min(args.workers, spec.hosts if on_hosts else len(seeds)),
+             clamp(args.workers, spec.hosts if on_hosts else len(seeds)),
              "hosts" if on_hosts else "seeds", wall_s))
     for record in manifest["runs"]:
         print("  seed %-4d %7d event(s) %10.1f ms  digest %s"

@@ -20,7 +20,9 @@ livelock guard (``config.max_epochs``) bounds broken scenarios.
 Backends implement ``run_epoch(epoch, window_end, batches)``,
 ``finish()`` and ``close()``: :class:`InlineBackend` here (single
 process, the semantic reference) and ``ProcsBackend`` in
-:mod:`repro.cluster.procs` (one OS process per worker).  The merged
+:mod:`repro.cluster.procs` (hosts spread over a
+:class:`~repro.pool.WorkerPool`; a failed worker ends the run with a
+:class:`ClusterError` naming its hosts).  The merged
 timeline is a pure function of the config; the backend and worker count
 must not change a single digest byte — ``tests/test_cluster_digest.py``
 holds both to that.
@@ -34,8 +36,8 @@ import typing
 from ..analysis.sanitize import combine_digests
 from .config import ClusterConfig, ClusterConfigError
 from .controller import Controller
-from .messages import CONTROLLER, ClusterMessage, sort_canonical
-from .node import HostNode
+from .messages import CONTROLLER, sort_canonical
+from .node import HostNode, run_nodes
 
 BACKENDS = ("inline", "procs")
 
@@ -57,15 +59,7 @@ class InlineBackend:
     def run_epoch(self, epoch: int, window_end: float,
                   batches: typing.Dict[int, list]
                   ) -> typing.Tuple[list, list]:
-        outs: typing.List[ClusterMessage] = []
-        reports = []
-        for node in self.nodes:
-            batch = batches.get(node.host_index)
-            if batch:
-                node.deliver(batch)
-            reports.append(node.run_epoch(epoch, window_end))
-            outs.extend(node.drain_outbox())
-        return outs, reports
+        return run_nodes(self.nodes, epoch, window_end, batches)
 
     def finish(self) -> typing.List[dict]:
         return [node.summary() for node in self.nodes]
@@ -101,9 +95,7 @@ class Cluster:
                 % (backend, ", ".join(BACKENDS)))
         self.config = config
         self.backend_name = backend
-        if workers is None:
-            workers = config.hosts
-        self.workers = max(1, min(int(workers), config.hosts))
+        self.workers = config.hosts if workers is None else workers
 
     def _make_backend(self):
         if self.backend_name == "inline":
@@ -167,9 +159,7 @@ class Cluster:
                 else:
                     stats[key] = stats.get(key, 0) + value
         return ClusterResult(config=config, backend=self.backend_name,
-                             workers=(backend.workers
-                                      if self.backend_name == "procs"
-                                      else 1),
+                             workers=backend.workers,
                              epochs=epoch, sim_ms=sim_ms, events=events,
                              digest=combine_digests(host_digests),
                              host_digests=host_digests, stats=stats)

@@ -16,8 +16,8 @@ injector) and adds the three things the epoch-barrier scheduler needs:
   completes, closing the batch exactly at the barrier.
 
 Everything in this module runs *inside* the DES timeline; it is ordinary
-sim code under the determinism linter (RPR010 included — only the procs
-runner may touch real concurrency).
+sim code under the determinism linter (RPR010 included — only
+:mod:`repro.pool` may touch real concurrency).
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ import typing
 
 from ..analysis.sanitize import EventTrace
 from ..core.host import Host
-from ..faults import (FaultPlan, InjectedFault, MigrationAborted,
-                      Overloaded, RetryExhausted)
+from ..faults import ABSORBED, FaultPlan
 from ..net.links import Link
 from ..sim.engine import Simulator
 from ..toolstack.config import VMConfig
@@ -35,9 +34,21 @@ from ..toolstack.migration import SavedImage
 from .config import ClusterConfig, host_seed
 from .messages import CONTROLLER, ClusterMessage
 
-#: Fault outcomes a node absorbs into counters instead of crashing the
-#: epoch loop (same set the chaos campaign runner absorbs).
-ABSORBED = (InjectedFault, Overloaded, MigrationAborted, RetryExhausted)
+
+def run_nodes(nodes: typing.Sequence["HostNode"], epoch: int,
+              window_end: float, batches: typing.Dict[int, list]
+              ) -> typing.Tuple[typing.List[ClusterMessage], list]:
+    """The epoch step of both backends: deliver each node's batch,
+    advance it to ``window_end``, drain its outbox."""
+    outs: typing.List[ClusterMessage] = []
+    reports = []
+    for node in nodes:
+        batch = batches.get(node.host_index)
+        if batch:
+            node.deliver(batch)
+        reports.append(node.run_epoch(epoch, window_end))
+        outs.extend(node.drain_outbox())
+    return outs, reports
 
 
 class HostNode:

@@ -1,71 +1,48 @@
-"""The process-pool execution backend: one OS process per worker.
+"""The process-pool execution backend: hosts spread over worker processes.
 
-This is the **only** module in the repository allowed to import
-``multiprocessing`` (lint rule RPR010; ``RPR010_ALLOWED_PATHS`` names
-exactly this file).  The boundary is sharp by design: workers host plain
-:class:`~repro.cluster.node.HostNode` instances and speak a tiny pickled
-protocol over pipes — no scenario logic, no scheduling decisions, no
-shared state.  Real concurrency exists only *between* barriers, where
-hosts exchange nothing; at every barrier the coordinator re-imposes the
-canonical (epoch, src, seq) order, so worker scheduling, pipe drain
-order, and host-to-worker partitioning are all unobservable in the
-merged timeline.
+Workers host plain :class:`~repro.cluster.node.HostNode` instances on a
+:class:`~repro.pool.WorkerPool` (hosts dealt ``h % workers``), rebuilt
+in the child from the config, and speak a tiny pickled protocol:
 
-Protocol (coordinator -> worker / worker -> coordinator):
-
-* ``("epoch", k, window_end, {host: [messages]})`` ->
-  ``("ok", outbox_messages, reports)``
+* ``("epoch", k, window_end, {host: [wire messages]})`` ->
+  ``("ok", [wire messages], reports)``
 * ``("finish",)`` -> ``("done", [host summaries])`` then worker exit
-* any worker exception -> ``("error", traceback_text)``
+* any worker exception -> ``("error", traceback_text)`` (pool-framed)
 
-Workers are built fresh in the child (never pickled across), so the
-``fork`` and ``spawn`` start methods behave identically; ``fork`` is
-preferred for its startup cost.
+Worker scheduling, reply order and the partition are unobservable: at
+every barrier the coordinator re-imposes the canonical (epoch, src, seq)
+order.  A worker that raises, dies or is killed fails the run at once
+with a :class:`~repro.cluster.cluster.ClusterError` naming its hosts and
+exit status, and the surviving workers are stopped.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import traceback
 import typing
 
+from ..pool import WorkerPool
 from .config import ClusterConfig
 from .messages import ClusterMessage, from_wire
-from .node import HostNode
+from .node import HostNode, run_nodes
 
 
 def _worker_main(conn, config: ClusterConfig,
                  host_indices: typing.List[int]) -> None:
     """Child process entry: drive ``host_indices``'s nodes to barriers."""
-    try:
-        nodes = [HostNode(config, host) for host in host_indices]
-        while True:
-            command = conn.recv()
-            op = command[0]
-            if op == "epoch":
-                _op, epoch, window_end, batches = command
-                outs: typing.List[tuple] = []
-                reports = []
-                for node in nodes:
-                    batch = batches.get(node.host_index)
-                    if batch:
-                        node.deliver([from_wire(w) for w in batch])
-                    reports.append(node.run_epoch(epoch, window_end))
-                    outs.extend(msg.to_wire()
-                                for msg in node.drain_outbox())
-                conn.send(("ok", outs, reports))
-            elif op == "finish":
-                conn.send(("done", [node.summary() for node in nodes]))
-                return
-            else:
-                raise ValueError("unknown worker op %r" % (op,))
-    except BaseException:
-        try:
-            conn.send(("error", traceback.format_exc()))
-        except (BrokenPipeError, OSError):  # coordinator already gone
-            pass
-    finally:
-        conn.close()
+    nodes = [HostNode(config, host) for host in host_indices]
+    while True:
+        command = conn.recv()
+        op = command[0]
+        if op == "finish":
+            conn.send(("done", [node.summary() for node in nodes]))
+            return
+        if op != "epoch":
+            raise ValueError("unknown worker op %r" % (op,))
+        _op, epoch, window_end, wires = command
+        batches = {host: [from_wire(wire) for wire in batch]
+                   for host, batch in wires.items()}
+        outs, reports = run_nodes(nodes, epoch, window_end, batches)
+        conn.send(("ok", [msg.to_wire() for msg in outs], reports))
 
 
 class ProcsBackend:
@@ -75,84 +52,40 @@ class ProcsBackend:
 
     def __init__(self, config: ClusterConfig, workers: int):
         from .cluster import ClusterError
-        self._error = ClusterError
-        self.workers = max(1, min(int(workers), config.hosts))
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn")
-        self._conns = []
-        self._procs = []
-        #: Worker w owns hosts {h : h % workers == w}; the partition is a
-        #: pure function of (hosts, workers) and — by the canonical-order
-        #: contract — unobservable in the merged timeline.
-        self._partition = [
-            [host for host in range(config.hosts)
-             if host % self.workers == worker]
-            for worker in range(self.workers)]
-        for worker in range(self.workers):
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(target=_worker_main,
-                               args=(child_conn, config,
-                                     self._partition[worker]),
-                               daemon=True)
-            proc.start()
-            child_conn.close()
-            self._conns.append(parent_conn)
-            self._procs.append(proc)
+        self._pool = WorkerPool(_worker_main, (config,),
+                                range(config.hosts), workers,
+                                ClusterError, "cluster worker", "hosts")
+        self.workers = self._pool.workers
+        #: Worker w's hosts, {h : h % workers == w}: by the canonical-order
+        #: contract, unobservable in the merged timeline.
+        self._partition = self._pool.partition
 
-    def _recv(self, conn):
-        try:
-            reply = conn.recv()
-        except EOFError:
-            raise self._error(
-                "cluster worker died without a reply (see stderr for the "
-                "child traceback)")
-        if reply[0] == "error":
-            raise self._error("cluster worker failed:\n%s" % reply[1])
-        return reply
+    def _recv(self) -> typing.List[tuple]:
+        return self._pool.gather()
 
     def run_epoch(self, epoch: int, window_end: float,
                   batches: typing.Dict[int, list]
                   ) -> typing.Tuple[list, list]:
-        for worker, conn in enumerate(self._conns):
-            local = {}
-            for host in self._partition[worker]:
-                batch = batches.get(host)
-                if batch:
-                    # Wire-encode on the way out: tuples pickle several
-                    # times faster than dataclass instances, and this
-                    # serialization is the coordinator's serial fraction.
-                    local[host] = [msg.to_wire() for msg in batch]
-            conn.send(("epoch", epoch, window_end, local))
+        for worker, hosts in enumerate(self._partition):
+            # Wire-encode on the way out: tuples pickle several times
+            # faster than dataclass instances, and this serialization is
+            # the coordinator's serial fraction.
+            local = {host: [msg.to_wire() for msg in batches[host]]
+                     for host in hosts if batches.get(host)}
+            self._pool.send(worker, ("epoch", epoch, window_end, local))
         outs: typing.List[ClusterMessage] = []
         reports = []
-        # Drain replies in worker order.  The concatenation order does
-        # not matter: the coordinator canonically re-sorts every message
-        # and keys reports by host index.
-        for conn in self._conns:
-            reply = self._recv(conn)
+        # The concatenation order does not matter: the coordinator
+        # canonically re-sorts every message and keys reports by host.
+        for reply in self._recv():
             outs.extend(from_wire(wire) for wire in reply[1])
             reports.extend(reply[2])
         return outs, reports
 
     def finish(self) -> typing.List[dict]:
-        for conn in self._conns:
-            conn.send(("finish",))
-        summaries: typing.List[dict] = []
-        for conn in self._conns:
-            summaries.extend(self._recv(conn)[1])
-        return summaries
+        for worker in range(self.workers):
+            self._pool.send(worker, ("finish",))
+        return [summary for reply in self._recv() for summary in reply[1]]
 
     def close(self) -> None:
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-        for proc in self._procs:
-            proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - hung worker
-                proc.terminate()
-                proc.join(timeout=5.0)
-        self._conns = []
-        self._procs = []
+        self._pool.close()

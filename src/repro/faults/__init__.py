@@ -16,7 +16,12 @@ from .plan import (NULL_INJECTOR, DaemonRestarted, FaultInjector, FaultPlan,
 from .retry import (ROLLBACK_POLICY, RetryBudgetExhausted, RetryExhausted,
                     RetryPolicy, retry_call, retry_generator)
 
+#: The typed failures the control plane is *supposed* to surface under
+#: faults; storms, cluster nodes and chaos campaigns count them and go on.
+ABSORBED = (InjectedFault, Overloaded, MigrationAborted, RetryExhausted)
+
 __all__ = [
+    "ABSORBED",
     "DaemonRestarted",
     "FaultInjector",
     "FaultPlan",

@@ -35,8 +35,7 @@ import typing
 
 from ..analysis.sanitize import EventTrace
 from ..core.host import Host
-from ..faults import (FaultPlan, FaultRule, InjectedFault, MigrationAborted,
-                      Overloaded, RetryExhausted)
+from ..faults import ABSORBED, FaultPlan, FaultRule
 from ..guests.catalog import lookup
 from ..guests.images import GuestImage
 from ..sim.engine import Simulator
@@ -56,12 +55,6 @@ CAMPAIGN_POINTS = (
     "xenstore.commit",
     "hypervisor.hypercall",
 )
-
-#: Errors a scenario absorbs per-operation and keeps going — the typed
-#: failures the control plane is *supposed* to surface under faults.
-#: Anything else that escapes is recorded as an invariant violation.
-ABSORBED = (InjectedFault, Overloaded, MigrationAborted, RetryExhausted)
-
 
 # ----------------------------------------------------------------------
 # Scenarios

@@ -18,14 +18,9 @@ import dataclasses
 import typing
 
 from ..analysis.sanitize import EventTrace
-from ..faults import (InjectedFault, MigrationAborted, Overloaded,
-                      RetryExhausted)
+from ..faults import ABSORBED
 from ..sim import RngStream, Simulator
 from .spec import ScenarioSpec
-
-#: Fault outcomes a storm absorbs into counters instead of aborting the
-#: run (the same set the cluster nodes and chaos campaigns absorb).
-ABSORBED = (InjectedFault, Overloaded, MigrationAborted, RetryExhausted)
 
 
 @dataclasses.dataclass

@@ -1,33 +1,23 @@
 """The parallel multi-seed sweep runner behind ``repro run``.
 
-Reuses the cluster procs worker-pool machinery (persistent fork-preferred
-pipe workers, round-robin partitioning, loud error propagation): seeds
-are partitioned ``seed_index % workers``, every worker runs its share of
-(spec, seed) scenarios to completion, and the coordinator re-imposes
-seed order before building the manifest — so the **sweep manifest is a
-pure function of (resolved spec, seed set)**; the worker count is
-unobservable, which ``tests/test_stdlib_sweep.py`` holds it to across
-``--workers {1,2,4}``.  The one exception to seed fan-out is a
-cluster-mode spec under a single seed: there the workers go to the
-cluster's hosts instead (:func:`workers_on_hosts`), and the manifest is
-still byte-identical, since cluster digests ignore backend and worker
-count.
-
-Along with :mod:`repro.cluster.procs`, this is the only module the
-RPR010 lint allowlist sanctions to import ``multiprocessing``: workers
-host whole scenario runs (each with its own DES engine) and exchange
-nothing until their seeds complete, so real concurrency never touches a
-timeline mid-flight.
+Seeds are dealt round-robin over a :class:`~repro.pool.WorkerPool`, each
+worker runs its share of (spec, seed) scenarios and replies once, and
+the coordinator re-imposes seed order — so the **sweep manifest is a
+pure function of (resolved spec, seed set)**, whatever the worker count
+(``tests/test_stdlib_sweep.py`` checks ``--workers {1,2,4}``).  The
+first worker to fail raises a :class:`SweepError` naming its seeds.  A
+cluster-mode spec under a single seed spends its workers on the
+cluster's hosts instead (:func:`workers_on_hosts`), with the same
+manifest, since cluster digests ignore backend and worker count.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
-import traceback
 import typing
 
+from ..pool import WorkerPool, clamp
 from .runner import run_scenario
 from .spec import ScenarioSpec
 
@@ -47,65 +37,9 @@ class SweepError(RuntimeError):
 def _worker_main(conn, payload: dict,
                  seeds: typing.List[int]) -> None:
     """Child entry: run this worker's share of seeds, reply once."""
-    try:
-        spec = ScenarioSpec.from_dict(payload)
-        records = [run_scenario(spec, seed=seed).record()
-                   for seed in seeds]
-        conn.send(("ok", records))
-    except BaseException:
-        try:
-            conn.send(("error", traceback.format_exc()))
-        except (BrokenPipeError, OSError):  # coordinator already gone
-            pass
-    finally:
-        conn.close()
-
-
-def _run_parallel(spec: ScenarioSpec, seeds: typing.List[int],
-                  workers: int) -> typing.List[dict]:
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn")
-    partition = [[seed for index, seed in enumerate(seeds)
-                  if index % workers == worker]
-                 for worker in range(workers)]
-    conns = []
-    procs = []
-    payload = dict(spec.source)
-    try:
-        for worker in range(workers):
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(target=_worker_main,
-                               args=(child_conn, payload,
-                                     partition[worker]),
-                               daemon=True)
-            proc.start()
-            child_conn.close()
-            conns.append(parent_conn)
-            procs.append(proc)
-        records: typing.List[dict] = []
-        for conn in conns:
-            try:
-                reply = conn.recv()
-            except EOFError:
-                raise SweepError(
-                    "sweep worker died without a reply (see stderr for "
-                    "the child traceback)")
-            if reply[0] == "error":
-                raise SweepError("sweep worker failed:\n%s" % reply[1])
-            records.extend(reply[1])
-        return records
-    finally:
-        for conn in conns:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-        for proc in procs:
-            proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - hung worker
-                proc.terminate()
-                proc.join(timeout=5.0)
+    spec = ScenarioSpec.from_dict(payload)
+    conn.send(("ok", [run_scenario(spec, seed=seed).record()
+                      for seed in seeds]))
 
 
 def manifest_digest(spec_digest: str,
@@ -148,11 +82,17 @@ def run_sweep(spec: ScenarioSpec, seeds: typing.Sequence[int],
     if workers_on_hosts(spec, seeds, workers):
         records = [run_scenario(spec, seed=seeds[0],
                                 workers=workers).record()]
-    elif min(workers, len(seeds)) <= 1:
+    elif clamp(workers, len(seeds)) == 1:
         records = [run_scenario(spec, seed=seed).record()
                    for seed in seeds]
     else:
-        records = _run_parallel(spec, seeds, min(workers, len(seeds)))
+        pool = WorkerPool(_worker_main, (dict(spec.source),), seeds,
+                          workers, SweepError, "sweep worker", "seeds")
+        try:
+            records = [record for reply in pool.gather()
+                       for record in reply[1]]
+        finally:
+            pool.close()
     records.sort(key=lambda record: record["seed"])
     spec_digest = spec.digest()
     totals: typing.Dict[str, float] = {}

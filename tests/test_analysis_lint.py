@@ -289,30 +289,48 @@ class TestRealConcurrency:
         found = ids("import asyncio\nimport concurrent.futures\n")
         assert found == ["RPR010", "RPR010"]
 
-    def test_cluster_procs_backend_exempt(self):
-        # A sanctioned real-concurrency site: the procs backend.
+    def test_worker_pool_exempt(self):
+        # The one sanctioned real-concurrency site: the worker pool both
+        # process runners (procs backend, sweep runner) are built on.
         assert ids("import multiprocessing\n",
+                   path="src/repro/pool.py") == []
+
+    @staticmethod
+    def _runner_ids(relpath):
+        src = pathlib.Path(__file__).resolve().parents[1] / "src" / relpath
+        return ids(src.read_text(), path=str(src))
+
+    def test_cluster_procs_backend_exempt(self):
+        # The procs backend keeps its process fan-out by delegating it to
+        # the pool: it imports the pool, never multiprocessing, and so
+        # lints clean without an allowlist entry of its own.
+        assert ids("from ..pool import WorkerPool\n",
                    path="src/repro/cluster/procs.py") == []
+        assert "RPR010" not in self._runner_ids("repro/cluster/procs.py")
 
     def test_stdlib_sweep_runner_exempt(self):
-        # The other sanctioned site: the multi-seed sweep runner, which
-        # fans whole (spec, seed) scenario runs out over OS processes.
-        assert ids("import multiprocessing\n",
+        # Same for the multi-seed sweep runner, which fans whole
+        # (spec, seed) scenario runs out through the pool.
+        assert ids("from ..pool import WorkerPool, clamp\n",
                    path="src/repro/stdlib/sweep.py") == []
+        assert "RPR010" not in self._runner_ids("repro/stdlib/sweep.py")
 
     def test_cluster_scenario_modules_still_banned(self):
-        # The exemption is the runner alone — cluster coordination and
-        # scenario code stays inside the deterministic timeline.
-        for path in ("src/repro/cluster/node.py",
+        # The exemption is the pool alone — the procs runner, cluster
+        # coordination and scenario code stay under the rule.
+        for path in ("src/repro/cluster/procs.py",
+                     "src/repro/cluster/node.py",
                      "src/repro/cluster/cluster.py",
                      "src/repro/cluster/controller.py"):
             assert ids("import multiprocessing\n", path=path) == \
                 ["RPR010"], path
 
     def test_stdlib_scenario_modules_still_banned(self):
-        # Same narrowing for the stdlib: spec resolution and the
-        # scenario runner execute inside the DES timeline.
-        for path in ("src/repro/stdlib/spec.py",
+        # Same narrowing for the stdlib: the sweep runner goes through
+        # the pool, and spec resolution and the scenario runner execute
+        # inside the DES timeline.
+        for path in ("src/repro/stdlib/sweep.py",
+                     "src/repro/stdlib/spec.py",
                      "src/repro/stdlib/runner.py",
                      "src/repro/stdlib/library.py"):
             assert ids("import threading\n", path=path) == \
