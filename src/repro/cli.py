@@ -18,19 +18,20 @@ Gives the library a downstream-usable front end:
 * ``trace`` — boot storm under the span tracer: per-phase attribution,
   span summary, optional Chrome/Perfetto ``trace_event`` export;
 * ``metrics`` — boot storm, then print the scraped metrics registry;
-* ``chaos`` — N seeded fault campaigns against a scenario, invariants
-  audited after every recovery, failing schedules delta-debugged down to
-  minimal replayable JSON reproducers;
+* ``chaos`` — sweep a recovery-enabled scenario spec (e.g. one using the
+  ``chaos@1`` fault component) over a seed set, every run audited
+  after recovery, and delta-debug each failing seed's fault schedule
+  down to a one-seed sweep manifest that ``run --replay`` verifies;
 * ``run`` — the one way to run a scenario: execute a declarative
   scenario spec (YAML/JSON, single-host or cluster mode) from the
   scenario standard library across a seed set, in parallel, producing a
-  replayable sweep manifest;
+  replayable sweep manifest; ``--replay`` re-runs a manifest (or a JSON
+  list of them, such as chaos reproducers) and verifies its digest;
 * ``components`` — list the stdlib component catalogue.
 
 Flag conventions are shared across ``run``/``chaos`` (see
-:mod:`repro.cli_flags`): ``--seed N`` for one seed, ``--seeds A..B`` for
-a set, ``--workers`` for parallelism, ``--json``/``--replay`` for
-machine-readable output and bit-for-bit replay.
+:mod:`repro.cli_flags`): ``--seeds A..B`` for a seed set, ``--out`` for
+the JSON artifact.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import argparse
 import sys
 import typing
 
-from .cli_flags import contiguous_range, seed_set
+from .cli_flags import seed_set
 from .core import Host, VARIANTS
 from .core.metrics import mean, median, percentile, sample_indices
 from .data import counts_by_year
@@ -464,53 +465,55 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
+def _load_spec(command: str, path: str):
+    """The spec at ``path``, or ``None`` once the error is printed."""
+    from .stdlib import ComponentError, SpecError, load_spec
+    try:
+        return load_spec(path)
+    except FileNotFoundError:
+        print("repro %s: error: no such file: %s" % (command, path),
+              file=sys.stderr)
+    except (SpecError, ComponentError) as exc:
+        print("repro %s: error: %s: %s" % (command, path, exc),
+              file=sys.stderr)
+    return None
+
+
 def _cmd_chaos(args) -> int:
     import json
 
     from .recovery import campaign
+    from .stdlib import SpecError
 
-    if args.replay:
-        with open(args.replay) as handle:
-            data = json.load(handle)
-        documents = data if isinstance(data, list) else [data]
-        reproduced = True
-        for document in documents:
-            result = campaign.replay(document)
-            same = (result.violations == document.get("violations")
-                    and result.digest == document.get("digest"))
-            reproduced = reproduced and same
-            print("seed %d: %d violation(s), digest %s — %s"
-                  % (result.seed, len(result.violations),
-                     result.digest[:12],
-                     "reproduced" if same else "DIVERGED from record"))
-            for violation in result.violations:
-                print("  violation: %s" % violation)
-        return 0 if reproduced else 1
-
-    _lookup_or_exit(args.parser_error, args.image)
-    span = contiguous_range(args.seeds)
-    if span is None:
-        args.parser_error(
-            "argument --seeds: chaos campaigns need a contiguous range "
-            "(run i replays seed base+i), got %s"
-            % ",".join(str(seed) for seed in args.seeds))
-    base_seed, count = span
-    report = campaign.run_campaign(
-        seeds=count, base_seed=base_seed, scenario=args.scenario,
-        variant=args.variant, image=args.image, count=args.count,
-        queue_cap=args.queue_cap, reap=not args.no_reap,
-        do_shrink=not args.no_shrink, max_rules=args.rules,
-        max_occurrence=args.occurrences, log=print)
+    spec = _load_spec("chaos", args.spec)
+    if spec is None:
+        return 2
+    try:
+        manifest, reproducers = campaign.run_campaign(spec, args.seeds)
+    except SpecError as exc:
+        print("repro chaos: error: %s: %s" % (args.spec, exc),
+              file=sys.stderr)
+        return 2
+    for record in manifest["runs"]:
+        print("seed %d: %d violation(s), digest %s"
+              % (record["seed"], len(record["violations"]),
+                 record["digest"][:12]))
+    for reproducer in reproducers:
+        faults = reproducer["resolved"]["components"]["faults"]
+        print("seed %d reproducer, rules %s"
+              % (reproducer["seeds"][0], json.dumps(faults.get("rules"))))
+        for violation in reproducer["runs"][0]["violations"]:
+            print("  violation: %s" % violation)
     print()
-    print("campaign: %d seeded run(s), %d failure(s)%s"
-          % (len(report.runs), len(report.failures),
-             "" if report.ok else " — reproducers shrunk"))
-    if args.out and report.failures:
+    print("chaos: %d seed(s), %d failure(s)"
+          % (len(manifest["runs"]), len(reproducers)))
+    if args.out and reproducers:
         with open(args.out, "w") as handle:
-            json.dump(report.failures, handle, indent=2, sort_keys=True)
-        print("wrote %d reproducer(s) to %s"
-              % (len(report.failures), args.out))
-    return 0 if report.ok else 1
+            json.dump(reproducers, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print("wrote %d reproducer(s) to %s (repro run --replay %s)"
+              % (len(reproducers), args.out, args.out))
+    return 1 if reproducers else 0
 
 
 def _cmd_run(args) -> int:
@@ -518,7 +521,7 @@ def _cmd_run(args) -> int:
     import time  # noqa: RPR002 -- wall-clock only annotates the CLI report; it is read outside the simulated timeline
 
     from .pool import clamp
-    from .stdlib import (ComponentError, SpecError, SweepError, load_spec,
+    from .stdlib import (ComponentError, SpecError, SweepError,
                          replay_manifest, run_sweep, workers_on_hosts,
                          write_bench_json)
 
@@ -526,30 +529,30 @@ def _cmd_run(args) -> int:
         try:
             with open(args.replay) as handle:
                 payload = json.load(handle)
-            same, result = replay_manifest(payload, workers=args.workers)
+            # A chaos --out file is a list of one-seed manifests.
+            manifests = payload if isinstance(payload, list) else [payload]
+            if not manifests:
+                raise SweepError("an empty list holds no manifest",
+                                 field="manifest")
+            results = [replay_manifest(manifest, workers=args.workers)
+                       for manifest in manifests]
         except (OSError, json.JSONDecodeError, SpecError, ComponentError,
                 SweepError) as exc:
             print("repro run: error: %s: %s" % (args.replay, exc),
                   file=sys.stderr)
             return 2
-        print("scenario %s: %d seed(s), manifest digest %s — %s"
-              % (result["scenario"], len(result["runs"]),
-                 result["manifest_digest"][:12],
-                 "reproduced" if same else "DIVERGED from record"))
-        return 0 if same else 1
+        for same, result in results:
+            print("scenario %s: %d seed(s), manifest digest %s — %s"
+                  % (result["scenario"], len(result["runs"]),
+                     result["manifest_digest"][:12],
+                     "reproduced" if same else "DIVERGED from record"))
+        return 0 if all(same for same, _ in results) else 1
 
     if args.spec is None:
         args.parser_error("repro run needs a scenario spec file "
                           "(or --replay FILE)")
-    try:
-        spec = load_spec(args.spec)
-    except FileNotFoundError:
-        print("repro run: error: no such file: %s" % args.spec,
-              file=sys.stderr)
-        return 2
-    except (SpecError, ComponentError) as exc:
-        print("repro run: error: %s: %s" % (args.spec, exc),
-              file=sys.stderr)
+    spec = _load_spec("run", args.spec)
+    if spec is None:
         return 2
 
     seeds = args.seeds if args.seeds is not None else [args.seed]
@@ -575,9 +578,11 @@ def _cmd_run(args) -> int:
              clamp(args.workers, spec.hosts if on_hosts else len(seeds)),
              "hosts" if on_hosts else "seeds", wall_s))
     for record in manifest["runs"]:
-        print("  seed %-4d %7d event(s) %10.1f ms  digest %s"
+        audit = ("" if "violations" not in record else
+                 "  %d violation(s)" % len(record["violations"]))
+        print("  seed %-4d %7d event(s) %10.1f ms  digest %s%s"
               % (record["seed"], record["events"], record["sim_ms"],
-                 record["digest"][:12]))
+                 record["digest"][:12], audit))
     for key in sorted(manifest["stats"]):
         print("  %-24s %12.2f" % (key, manifest["stats"][key]))
     print("  spec digest     %s" % manifest["spec_digest"])
@@ -766,33 +771,19 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.set_defaults(fn=_cmd_metrics)
 
     chaos = sub.add_parser(
-        "chaos", help="seeded fault campaigns with shrinking reproducers")
-    chaos.add_argument("--variant", choices=VARIANTS, default="chaos+xs")
-    chaos.add_argument("--image", default="daytime")
-    chaos.add_argument("--scenario", choices=("boot-storm", "churn"),
-                       default="boot-storm")
+        "chaos", help="sweep a recovery-enabled scenario spec, shrinking "
+                      "each failing seed to a replayable manifest")
+    chaos.add_argument("spec",
+                       help="host-mode scenario spec (.yaml/.yml/.json) "
+                            "whose fault profile has recovery on, e.g. "
+                            "examples/chaos_storm.yaml")
     chaos.add_argument("--seeds", type=seed_set, default="0..15",
                        metavar="A..B",
-                       help="contiguous seed range to campaign over "
-                            "(default 0..15)")
-    chaos.add_argument("--count", type=_positive_int, default=8,
-                       help="guests each scenario run creates")
-    chaos.add_argument("--rules", type=_positive_int, default=3,
-                       help="max fault rules per generated schedule")
-    chaos.add_argument("--occurrences", type=_positive_int, default=40,
-                       help="max occurrence number a rule may target")
-    chaos.add_argument("--queue-cap", type=_positive_int, default=None,
-                       help="daemon admission-queue depth (enables "
-                            "load shedding)")
-    chaos.add_argument("--no-reap", action="store_true",
-                       help="skip the recovery pass (self-test: crashed "
-                            "schedules must then fail the audit)")
-    chaos.add_argument("--no-shrink", action="store_true",
-                       help="report failing schedules without ddmin")
+                       help="seed set to sweep ('0..15' or '0,3,9'; "
+                            "default 0..15)")
     chaos.add_argument("--out", metavar="FILE",
-                       help="write failing reproducers as JSON")
-    chaos.add_argument("--replay", metavar="FILE",
-                       help="re-run reproducer JSON instead of a campaign")
+                       help="write the shrunk reproducers (a JSON list of "
+                            "one-seed sweep manifests) to FILE")
     chaos.set_defaults(fn=_cmd_chaos)
 
     run = sub.add_parser(

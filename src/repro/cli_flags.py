@@ -1,14 +1,9 @@
 """Shared CLI flag conventions.
 
-The seed/parallelism surface is the same across ``repro run`` and
-``repro chaos``:
-
-* ``--seed N`` — one seed (the default workload);
-* ``--seeds A..B`` — an inclusive seed range — or ``A,B,C``, an explicit
-  seed list;
-* ``--workers N`` — OS processes for the parallel backends;
-* ``--json`` — machine-readable output; ``--replay FILE`` — re-run a
-  recorded artifact and verify its digests bit-for-bit.
+``repro run`` and ``repro chaos`` spell a seed set the same way:
+``--seeds A..B`` is an inclusive range, ``--seeds A,B,C`` an explicit
+list.  Any seed set works, since each run's faults derive from its own
+seed.
 """
 
 from __future__ import annotations
@@ -59,15 +54,3 @@ def seed_set(text: str) -> typing.List[int]:
         return parse_seed_set(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-
-
-def contiguous_range(seeds: typing.Sequence[int]
-                     ) -> typing.Optional[typing.Tuple[int, int]]:
-    """``(base, count)`` when ``seeds`` is a contiguous ascending run
-    (in any input order), else ``None``."""
-    ordered = sorted(seeds)
-    if not ordered:
-        return None
-    if ordered == list(range(ordered[0], ordered[0] + len(ordered))):
-        return ordered[0], len(ordered)
-    return None

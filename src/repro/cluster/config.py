@@ -96,10 +96,11 @@ class ClusterConfig:
         if self.hosts < 1:
             raise ClusterConfigError("hosts must be >= 1, got %r"
                                      % self.hosts)
-        if self.epoch_ms <= 0:
+        # Written "not x > 0" so that NaN fails too.
+        if not self.epoch_ms > 0:
             raise ClusterConfigError("epoch_ms must be > 0, got %r"
                                      % self.epoch_ms)
-        if self.net_latency_ms < self.epoch_ms:
+        if not self.net_latency_ms >= self.epoch_ms:
             # The conservative-PDES lookahead rule: a message sent inside
             # epoch k must not arrive before epoch k+1 begins, or hosts
             # would need mid-window exchange and the barrier schedule
@@ -108,9 +109,11 @@ class ClusterConfig:
                 "net_latency_ms (%r) must be >= epoch_ms (%r): the epoch "
                 "length is the cluster's lookahead"
                 % (self.net_latency_ms, self.epoch_ms))
-        if self.create_spacing_ms <= 0:
+        if not self.net_bandwidth_mbps > 0:
+            raise ClusterConfigError("net_bandwidth_mbps must be > 0")
+        if not self.create_spacing_ms > 0:
             raise ClusterConfigError("create_spacing_ms must be > 0")
-        if self.request_gap_ms <= 0:
+        if not self.request_gap_ms > 0:
             raise ClusterConfigError("request_gap_ms must be > 0")
         if self.spec not in HOST_SPECS:
             raise ClusterConfigError(

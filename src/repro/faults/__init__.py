@@ -9,19 +9,21 @@ the exponential-backoff policies the surviving layers use, and
 """
 
 from .invariants import InvariantViolation, assert_clean, check_host
-from .plan import (NULL_INJECTOR, DaemonRestarted, FaultInjector, FaultPlan,
-                   FaultRule, GrantMapFailure, InjectedFault, LinkInterrupted,
-                   MessageTimeout, MigrationAborted, Overloaded,
-                   ToolstackCrashed, TransientHypercallError)
+from .plan import (CHAOS_POINTS, NULL_INJECTOR, DaemonRestarted,
+                   FaultInjector, FaultPlan, FaultRule, GrantMapFailure,
+                   InjectedFault, LinkInterrupted, MessageTimeout,
+                   MigrationAborted, Overloaded, ToolstackCrashed,
+                   TransientHypercallError)
 from .retry import (ROLLBACK_POLICY, RetryBudgetExhausted, RetryExhausted,
                     RetryPolicy, retry_call, retry_generator)
 
 #: The typed failures the control plane is *supposed* to surface under
-#: faults; storms, cluster nodes and chaos campaigns count them and go on.
+#: faults; storms and cluster nodes count them and go on.
 ABSORBED = (InjectedFault, Overloaded, MigrationAborted, RetryExhausted)
 
 __all__ = [
     "ABSORBED",
+    "CHAOS_POINTS",
     "DaemonRestarted",
     "FaultInjector",
     "FaultPlan",

@@ -163,6 +163,35 @@ class FaultPlan:
                                     kind=kind, delay_ms=delay_ms),),
                    seed=seed)
 
+    @classmethod
+    def chaos(cls, seed: int) -> "FaultPlan":
+        """The chaos schedule drawn from ``seed``: one to three rules,
+        each firing once at one of the first 40 occurrences of a point in
+        :data:`CHAOS_POINTS`.  Occurrence-based, not probabilistic, so
+        the rules *are* the reproducer: replaying them needs no RNG
+        state."""
+        rng = RngRegistry(seed).stream("chaos/schedule")
+        rules = []
+        for _ in range(1 + rng.randrange(3)):
+            point = CHAOS_POINTS[rng.randrange(len(CHAOS_POINTS))]
+            occurrence = 1 + rng.randrange(40)
+            rules.append(FaultRule(point=point, at=(occurrence,),
+                                   kind="chaos"))
+        return cls(rules=tuple(rules), seed=seed)
+
+
+#: Fault points a chaos schedule draws from.  All of them are live on
+#: the XenStore-backed variants; occurrence-based rules on points a run
+#: never reaches are simply inert (and get shrunk away).
+CHAOS_POINTS = (
+    "xenstore.daemon_crash",
+    "toolstack.create",
+    "toolstack.destroy",
+    "xenstore.message",
+    "xenstore.commit",
+    "hypervisor.hypercall",
+)
+
 
 class FaultInjector:
     """Evaluates a :class:`FaultPlan` at named fault points.

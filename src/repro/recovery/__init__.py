@@ -15,9 +15,10 @@ takes to keep that true when pieces of it die:
   silent orphans;
 * :mod:`~repro.recovery.reaper` — walks open intents and the store and
   rolls half-done operations back or forward deterministically;
-* :mod:`~repro.recovery.campaign` — the ``repro chaos`` campaign runner:
-  N seeded fault schedules against a scenario, invariants checked after
-  every recovery, failing schedules shrunk to a minimal reproducer.
+* :mod:`~repro.recovery.campaign` — ``repro chaos``: a sweep of a
+  recovery-enabled scenario spec (every run audited after recovery),
+  each failing seed's schedule ddmin-shrunk to a one-seed sweep
+  manifest that ``repro run --replay`` verifies.
 
 Everything is **opt-in and digest-gated**: a
 :class:`~repro.core.host.Host` built without ``recovery=True`` never
@@ -73,16 +74,3 @@ class RecoveryManager:
         crashed operations back or forward), then sweep the store for
         orphan subtrees."""
         yield from self.reaper.reap()
-
-    def metrics(self):
-        """Counters for the whole layer (campaign/CLI reporting)."""
-        return {
-            "intents": len(self.intents),
-            "open_intents": len(self.intents.open_intents()),
-            "reaped": dict(self.reaper.reaped),
-            "swept_paths": len(self.reaper.swept_paths),
-            "journal_entries": (len(self.journal)
-                                if self.journal is not None else 0),
-            "watchdog": (self.watchdog.health()
-                         if self.watchdog is not None else None),
-        }

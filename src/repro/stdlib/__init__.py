@@ -21,8 +21,9 @@ from .components import (Component, ComponentError,
                          DuplicateComponentError, UnknownComponentError,
                          catalogue, kinds, lookup, names, register,
                          resolve, versions_of)
-from .library import (KINDS, FaultProfile, GuestProfile, HostProfile,
-                      PlacementProfile, TopologyProfile, TrafficPattern)
+from .library import (ChaosProfile, FaultProfile, GuestProfile,
+                      HostProfile, PlacementProfile, TopologyProfile,
+                      TrafficPattern)
 from .presets import PRESETS, preset, storm_spec
 from .runner import ScenarioResult, run_scenario
 from .spec import (MissingSpecKeyError, ScenarioSpec, SpecError,
@@ -38,8 +39,8 @@ __all__ = [
     "UnknownComponentError", "register", "lookup", "resolve",
     "kinds", "names", "versions_of", "catalogue",
     # library
-    "KINDS", "HostProfile", "GuestProfile", "TrafficPattern",
-    "FaultProfile", "PlacementProfile", "TopologyProfile",
+    "HostProfile", "GuestProfile", "TrafficPattern",
+    "FaultProfile", "ChaosProfile", "PlacementProfile", "TopologyProfile",
     # spec
     "ScenarioSpec", "SpecError", "UnknownSpecKeyError",
     "MissingSpecKeyError", "SpecTypeError", "load_spec", "loads",

@@ -16,7 +16,9 @@ Versioning contract:
   by construction — an old spec file keeps meaning what it meant);
 * a spec may override individual component *parameters* (``{"ref":
   "xl@1", "pooled": false}``); the override set is part of the resolved
-  spec and therefore of the spec digest.
+  spec and therefore of the spec digest.  An override is checked against
+  the parameter's type and domain (:meth:`Component.validate`) when the
+  spec is loaded, never first at run time.
 
 Everything here is plain data resolution — no simulation state, no
 clocks, no randomness.
@@ -50,7 +52,8 @@ class ComponentVersionError(ComponentError):
 
 
 class ComponentOverrideError(ComponentError):
-    """A parameter override names an unknown or reserved field."""
+    """A parameter override names an unknown or reserved field, or gives
+    a parameter a value of the wrong type or outside its domain."""
 
 
 class DuplicateComponentError(ValueError):
@@ -66,6 +69,9 @@ class Component:
 
     #: Registry namespace; subclasses set this ("host", "guest", ...).
     kind: typing.ClassVar[str] = "component"
+    #: Checked parameters: name -> the allowed values, or the least
+    #: number allowed (see :meth:`validate`).
+    domain: typing.ClassVar[typing.Mapping[str, object]] = {}
 
     def ref(self) -> str:
         """The canonical pinned reference, ``name@version``."""
@@ -86,6 +92,20 @@ class Component:
             "kind": self.kind, "name": self.name, "version": self.version}
         record.update(self.params())
         return record
+
+    def validate(self) -> None:
+        """Raise :class:`ValueError` naming the first parameter whose
+        value is outside its :attr:`domain` (e.g. an unknown variant)."""
+        for name, allowed in self.domain.items():
+            value = getattr(self, name)
+            if isinstance(allowed, (int, float)):
+                if not value >= allowed:  # also rejects NaN
+                    raise ValueError("parameter %r must be >= %s, got %r"
+                                     % (name, allowed, value))
+            elif value not in allowed:
+                raise ValueError("parameter %r must be one of %s, got %r"
+                                 % (name, ", ".join(sorted(allowed)),
+                                    value))
 
 
 #: kind -> name -> version -> component instance.
@@ -199,7 +219,7 @@ def _apply_overrides(component: Component,
     if not overrides:
         return component
     allowed = set(component.params())
-    for key in sorted(overrides):
+    for key in sorted(overrides, key=str):
         if key in ("name", "version", "kind"):
             raise ComponentOverrideError(
                 field, "field %r: cannot override reserved key %r of "
@@ -217,14 +237,24 @@ def _apply_overrides(component: Component,
                 field, "field %r: parameter %r of %s expects %s, got %r"
                 % (field, key, component.ref(),
                    type(current).__name__, value))
-    return dataclasses.replace(component, **overrides)
+    try:
+        updated = dataclasses.replace(component, **overrides)
+        updated.validate()
+    except ValueError as exc:
+        raise ComponentOverrideError(
+            field, "field %r: %s %s" % (field, component.ref(), exc)) \
+            from None
+    return updated
 
 
 def _compatible(current: object, value: object) -> bool:
-    """Loose type check for an override value against the default."""
+    """Type check for an override value against the default: an int
+    parameter takes only ints, a float parameter ints or floats."""
     if isinstance(current, bool):
         return isinstance(value, bool)
-    if isinstance(current, (int, float)):
+    if isinstance(current, int):
+        return isinstance(value, int) and not isinstance(value, bool)
+    if isinstance(current, float):
         return isinstance(value, (int, float)) \
             and not isinstance(value, bool)
     if current is None:

@@ -17,7 +17,11 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from ..cluster.config import ClusterConfig
+from ..cluster.placement import POLICIES
+from ..core.host import VARIANTS
 from ..core.hostspec import HOST_SPECS, HostSpec
+from ..faults import FaultPlan, FaultRule
 from ..guests.catalog import CATALOG
 from ..guests.images import GuestImage
 from .components import Component, register
@@ -44,17 +48,23 @@ class HostProfile(Component):
     pool_slack: int = 64
     warmup_ms_per_shell: float = 20.0
 
+    domain = {"spec": HOST_SPECS, "variant": VARIANTS,
+              "xenstore_workers": 1, "pool_slack": 0,
+              "warmup_ms_per_shell": 0}
+
     def host_spec(self) -> HostSpec:
         return HOST_SPECS[self.spec]
 
     def build(self, *, count: int, image: typing.Optional[GuestImage],
-              sim=None, seed: int = 0, fault_plan=None):
+              sim=None, seed: int = 0, fault_plan=None,
+              recovery: bool = False):
         """Construct (and pre-warm) the host for a ``count``-guest run."""
         from ..core.host import Host
         kwargs: typing.Dict[str, object] = dict(
             spec=self.host_spec(), variant=self.variant, seed=seed,
             sim=sim, xenstore_workers=self.xenstore_workers,
-            xenstore_batch=self.xenstore_batch, fault_plan=fault_plan)
+            xenstore_batch=self.xenstore_batch, fault_plan=fault_plan,
+            recovery=recovery)
         if self.pooled:
             kwargs["pool_target"] = count + self.pool_slack
             if image is not None:
@@ -64,6 +74,10 @@ class HostProfile(Component):
             host.warmup(self.warmup_ms_per_shell
                         * (count + self.pool_slack))
         return host
+
+
+#: Guest runtimes: a VM image, or the container/process baselines.
+RUNTIMES = ("vm", "container", "process")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,11 +92,25 @@ class GuestProfile(Component):
     #: ``vm`` | ``container`` | ``process``.
     runtime: str = "vm"
 
+    domain = {"runtime": RUNTIMES}
+
+    def validate(self) -> None:
+        super().validate()
+        if self.runtime == "vm" and self.image not in CATALOG:
+            raise ValueError("parameter 'image' must be a catalogue image "
+                             "(%s), got %r" % (", ".join(sorted(CATALOG)),
+                                               self.image))
+
     def build(self) -> GuestImage:
         if self.runtime != "vm":
             raise ValueError("guest %s has runtime %r, not a VM image"
                              % (self.ref(), self.runtime))
         return CATALOG[self.image]
+
+
+#: Traffic patterns (host mode runs ``open-loop`` as a plain storm; its
+#: request knobs drive cluster traffic).
+PATTERNS = ("boot-storm", "bursty", "open-loop", "churn")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,6 +138,14 @@ class TrafficPattern(Component):
     request_gap_ms: float = 1.0
     service_ms: float = 0.5
 
+    domain = {"pattern": PATTERNS, "burst_size": 1, "burst_gap_ms": 0,
+              "churn_working_set": 0, "service_ms": 0}
+
+    def validate(self) -> None:
+        super().validate()
+        ClusterConfig(create_spacing_ms=self.create_spacing_ms,
+                      request_gap_ms=self.request_gap_ms).validate()
+
 
 @dataclasses.dataclass(frozen=True)
 class FaultProfile(Component):
@@ -119,15 +155,103 @@ class FaultProfile(Component):
 
     rate: float = 0.0
     points: str = "*"
-    #: Attach the PR-6 recovery layer (watchdog, reaper, journal).
+    #: Attach the crash-recovery layer (watchdog, reaper, journal);
+    #: host-mode runs are then audited (see :mod:`.runner`).
     recovery: bool = False
+
+    domain = {"rate": 0.0}
+
+    def validate(self) -> None:
+        super().validate()
+        if not self.rate <= 1.0:
+            raise ValueError("parameter 'rate' is a probability and must "
+                             "be <= 1, got %r" % self.rate)
 
     def build(self, seed: int):
         """The per-run :class:`FaultPlan`, or ``None`` for rate 0."""
         if self.rate <= 0.0:
             return None
-        from ..faults import FaultPlan
         return FaultPlan.uniform(self.rate, points=self.points, seed=seed)
+
+
+def rules_to_json(rules: typing.Iterable[FaultRule]
+                  ) -> typing.List[typing.Dict[str, object]]:
+    """Fault rules as ``chaos@1`` ``rules`` mappings, every key set."""
+    return [dict(dataclasses.asdict(rule), at=list(rule.at))
+            for rule in rules]
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+#: Each key a rule mapping may carry: (check on its value, what it must be).
+_RULE_KEYS = {
+    "point": (lambda value: isinstance(value, str) and bool(value),
+              "a non-empty fault-point name"),
+    "probability": (lambda value: _is_number(value) and 0 <= value <= 1,
+                    "a probability in [0, 1]"),
+    "at": (lambda value: isinstance(value, list)
+           and all(_is_int(item) and item >= 1 for item in value),
+           "a list of occurrence numbers >= 1"),
+    "max_fires": (lambda value: value is None
+                  or (_is_int(value) and value >= 1),
+                  "null or an integer >= 1"),
+    "kind": (lambda value: isinstance(value, str), "a string"),
+    "delay_ms": (lambda value: _is_number(value) and value >= 0,
+                 "a number >= 0"),
+}
+
+
+def _parse_rules(value: object) -> typing.Tuple[FaultRule, ...]:
+    """Rule mappings -> :class:`FaultRule` tuple; a malformed entry
+    raises :class:`ValueError` naming it."""
+    if not isinstance(value, list):
+        raise ValueError("parameter 'rules' must be a list of rule "
+                         "mappings, got %r" % (value,))
+    for index, item in enumerate(value):
+        if not isinstance(item, dict) or "point" not in item:
+            raise ValueError("rule %d must be a mapping with a 'point' "
+                             "key, got %r" % (index, item))
+        for key in item:
+            if key not in _RULE_KEYS:
+                raise ValueError("rule %d has unknown key %r (rule keys: "
+                                 "%s)" % (index, key,
+                                          ", ".join(sorted(_RULE_KEYS))))
+            check, expected = _RULE_KEYS[key]
+            if not check(item[key]):
+                raise ValueError("rule %d: %r must be %s, got %r"
+                                 % (index, key, expected, item[key]))
+    return tuple(FaultRule(**dict(item, at=tuple(item.get("at", ()))))
+                 for item in value)
+
+
+@dataclasses.dataclass(frozen=True)
+class ChaosProfile(Component):
+    """A chaos campaign's fault plan: the ``rules`` list (JSON mappings
+    such as ``{"point": ..., "at": [6]}``) or, when it is unset, the
+    schedule :meth:`FaultPlan.chaos` draws from each run's seed.
+    ``repro chaos`` pins shrunk rules into reproducers."""
+
+    kind: typing.ClassVar[str] = "faults"
+    #: Always attach the crash-recovery layer: chaos runs are audited.
+    recovery: typing.ClassVar[bool] = True
+
+    rules: typing.Optional[typing.List[dict]] = None
+
+    def validate(self) -> None:
+        if self.rules is not None:
+            _parse_rules(self.rules)
+
+    def build(self, seed: int):
+        """The pinned ``rules``, or the schedule drawn from ``seed``."""
+        if self.rules is None:
+            return FaultPlan.chaos(seed)
+        return FaultPlan(rules=_parse_rules(self.rules), seed=seed)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -137,6 +261,8 @@ class PlacementProfile(Component):
     kind: typing.ClassVar[str] = "placement"
 
     policy: str = "least-loaded"
+
+    domain = {"policy": POLICIES}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -149,16 +275,10 @@ class TopologyProfile(Component):
     net_latency_ms: float = 5.0
     net_bandwidth_mbps: float = 10000.0
 
-
-#: Component kind -> dataclass type (the spec layer dispatches on this).
-KINDS: typing.Dict[str, type] = {
-    "host": HostProfile,
-    "guest": GuestProfile,
-    "traffic": TrafficPattern,
-    "faults": FaultProfile,
-    "placement": PlacementProfile,
-    "topology": TopologyProfile,
-}
+    def validate(self) -> None:
+        ClusterConfig(epoch_ms=self.epoch_ms,
+                      net_latency_ms=self.net_latency_ms,
+                      net_bandwidth_mbps=self.net_bandwidth_mbps).validate()
 
 
 # ----------------------------------------------------------------------
@@ -204,6 +324,8 @@ register(TrafficPattern(name="churn", version=1, pattern="churn"))
 register(FaultProfile(name="none", version=1, rate=0.0))
 register(FaultProfile(name="light", version=1, rate=0.01))
 register(FaultProfile(name="heavy", version=1, rate=0.05, recovery=True))
+#: The chaos campaign's plan: a seeded crash schedule, audited runs.
+register(ChaosProfile(name="chaos", version=1))
 
 #: Placement policies.
 register(PlacementProfile(name="least-loaded", version=1,

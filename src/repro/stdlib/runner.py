@@ -10,6 +10,13 @@ mode, the host's :class:`~repro.analysis.sanitize.EventTrace`; for
 cluster mode, the combined per-host cluster digest.  The digest is a
 pure function of (resolved spec, seed) — backends, worker counts, and
 attached observers must not move it.
+
+A host-mode run whose fault profile has ``recovery`` on is *audited*:
+after the storm the host is reaped, drained for 500 ms and checked for
+leaked state, and the invariant violations go into the run's record.
+There a typed (``ABSORBED``) failure is counted, and any other error a
+create, destroy or recovery pass raises becomes a violation instead of
+ending the run.
 """
 
 from __future__ import annotations
@@ -43,12 +50,18 @@ class ScenarioResult:
     host: typing.Optional[object] = None
     #: The full ClusterResult for cluster-mode runs.
     cluster: typing.Optional[object] = None
+    #: Audited runs only: invariant violations after recovery (empty =
+    #: clean); ``None`` for runs that were not audited.
+    violations: typing.Optional[typing.List[str]] = None
 
     def record(self) -> typing.Dict[str, object]:
         """The manifest entry: JSON scalars only, no series, no host."""
-        return {"seed": self.seed, "digest": self.digest,
-                "events": self.events, "sim_ms": self.sim_ms,
-                "stats": dict(self.stats)}
+        record = {"seed": self.seed, "digest": self.digest,
+                  "events": self.events, "sim_ms": self.sim_ms,
+                  "stats": dict(self.stats)}
+        if self.violations is not None:
+            record["violations"] = list(self.violations)
+        return record
 
 
 def run_scenario(spec: ScenarioSpec, seed: int = 0,
@@ -88,19 +101,42 @@ def _cluster_scenario(spec: ScenarioSpec, seed: int,
 # Host mode: VM storms
 # ----------------------------------------------------------------------
 
+def _escaped(exc: Exception) -> str:
+    """The violation an untyped error escaping an audited storm is."""
+    return "unhandled error escaped the scenario: %s: %s" \
+        % (type(exc).__name__, exc)
+
+
+def _audited_call(escaped: typing.List[str], call, *args) -> int:
+    """Run ``call`` in an audited storm: returns 1 when it failed with a
+    typed ``ABSORBED`` error, and records any other error in
+    ``escaped``."""
+    try:
+        call(*args)
+    except ABSORBED:
+        return 1
+    except Exception as exc:  # an untyped escape is a finding
+        escaped.append(_escaped(exc))
+    return 0
+
+
 def _vm_storm(spec: ScenarioSpec, seed: int,
               keep_host: bool) -> ScenarioResult:
     sim = Simulator()
     trace = EventTrace().attach(sim)
     image = spec.guest.build()
     fault_plan = spec.faults.build(seed)
+    audited = spec.faults.recovery
     host = spec.host.build(count=spec.guests, image=image, sim=sim,
-                           seed=seed, fault_plan=fault_plan)
+                           seed=seed, fault_plan=fault_plan,
+                           recovery=audited)
 
     creates: typing.List[float] = []
     boots: typing.List[float] = []
     totals: typing.List[float] = []
     failures = 0
+    destroy_failures = 0
+    escaped: typing.List[str] = []
     pattern = spec.traffic.pattern
     live: typing.List[object] = []
 
@@ -109,20 +145,33 @@ def _vm_storm(spec: ScenarioSpec, seed: int,
             record = host.create_vm(image)
         except ABSORBED:
             failures += 1
+        except Exception as exc:
+            if not audited:
+                raise
+            escaped.append(_escaped(exc))
         else:
             creates.append(record.create_ms)
             boots.append(record.boot_ms)
             totals.append(record.total_ms)
             if pattern == "churn":
                 live.append(record.domain)
-        if pattern == "bursty" and spec.traffic.burst_size > 0 \
-                and (index + 1) % spec.traffic.burst_size == 0:
+        if pattern == "bursty" and (index + 1) % spec.traffic.burst_size == 0:
             sim.run(until=sim.now + spec.traffic.burst_gap_ms)
         elif pattern == "churn" \
                 and len(live) > spec.traffic.churn_working_set:
-            host.destroy_vm(live.pop(0))
+            if audited:
+                destroy_failures += _audited_call(
+                    escaped, host.destroy_vm, live.pop(0))
+            else:
+                host.destroy_vm(live.pop(0))
 
-    if fault_plan is not None or pattern == "churn":
+    violations = None
+    if audited:
+        _audited_call(escaped, host.recover)
+        # Drain in-flight teardowns and restarts before auditing.
+        sim.run(until=sim.now + 500.0)
+        violations = host.check_invariants() + escaped
+    elif fault_plan is not None or pattern == "churn":
         # Drain in-flight teardowns/retries before reading the digest
         # (fault-free boot storms end quiescent already, and adding a
         # drain there would move the digest away from the hand-coded
@@ -133,6 +182,8 @@ def _vm_storm(spec: ScenarioSpec, seed: int,
         "booted": float(len(creates)),
         "create_failed": float(failures),
     }
+    if audited:
+        stats["destroy_failed"] = float(destroy_failures)
     if creates:
         stats["create_ms_first"] = creates[0]
         stats["create_ms_last"] = creates[-1]
@@ -145,7 +196,7 @@ def _vm_storm(spec: ScenarioSpec, seed: int,
         stats=stats,
         series={"create_ms": creates, "boot_ms": boots,
                 "total_ms": totals},
-        host=host if keep_host else None)
+        host=host if keep_host else None, violations=violations)
 
 
 # ----------------------------------------------------------------------

@@ -11,8 +11,10 @@ count, request/migration budgets).  Validation is strict and typed:
   version mismatches raise :class:`~.components.UnknownComponentError` /
   :class:`~.components.ComponentVersionError` naming the offending
   field;
-* workload scalars are type- and range-checked
-  (:class:`SpecTypeError`).
+* component parameter overrides are type- and domain-checked
+  (:class:`~.components.ComponentOverrideError`);
+* workload scalars are type- and range-checked, and so are the
+  component combinations a mode cannot run (:class:`SpecTypeError`).
 
 The resolved spec has a canonical JSON form and a SHA-256 **spec
 digest** over it; the sweep manifest is a pure function of (spec digest,
@@ -30,8 +32,9 @@ import pathlib
 import typing
 
 from .components import ComponentError, resolve
-from .library import (FaultProfile, GuestProfile, HostProfile,
-                      PlacementProfile, TopologyProfile, TrafficPattern)
+from .library import (ChaosProfile, FaultProfile, GuestProfile,
+                      HostProfile, PlacementProfile, TopologyProfile,
+                      TrafficPattern)
 
 
 class SpecError(ValueError):
@@ -83,7 +86,7 @@ class ScenarioSpec:
     host: HostProfile
     guest: GuestProfile
     traffic: TrafficPattern
-    faults: FaultProfile
+    faults: typing.Union[FaultProfile, ChaosProfile]
     placement: typing.Optional[PlacementProfile]
     topology: typing.Optional[TopologyProfile]
     guests: int
@@ -114,7 +117,7 @@ class ScenarioSpec:
                 % (", ".join(MODES), mode))
 
         allowed = _KEYS_BY_MODE[mode]
-        for key in sorted(data):
+        for key in sorted(data, key=str):
             if key in allowed:
                 continue
             if key in _CLUSTER_ONLY:
@@ -125,9 +128,9 @@ class ScenarioSpec:
                                              n=1)
             suggestion = " (did you mean %r?)" % hint[0] if hint else ""
             raise UnknownSpecKeyError(
-                key, "unknown key %r in scenario spec%s; valid keys for "
-                "mode %r: %s" % (key, suggestion, mode,
-                                 ", ".join(sorted(allowed))))
+                str(key), "unknown key %r in scenario spec%s; valid keys "
+                "for mode %r: %s" % (key, suggestion, mode,
+                                     ", ".join(sorted(allowed))))
 
         required = list(_REQUIRED)
         if mode == "cluster":
@@ -148,8 +151,28 @@ class ScenarioSpec:
         guest = resolve("guest", data["guest"], "guest")
         traffic = resolve("traffic", data["traffic"], "traffic")
         faults = resolve("faults", data.get("faults", "none@1"), "faults")
+        if guest.runtime != "vm" and (faults.recovery
+                                      or faults.build(0) is not None):
+            # Container and process storms have no control plane to
+            # fault or recover.
+            raise SpecTypeError(
+                "faults", "field 'faults': %s guests (runtime %r) run "
+                "no fault plan or recovery, got %s"
+                % (guest.ref(), guest.runtime, faults.ref()))
         placement = topology = None
         if mode == "cluster":
+            if guest.runtime != "vm":
+                raise SpecTypeError(
+                    "guest", "field 'guest': cluster mode boots VM "
+                    "images only, got %s (runtime %r)"
+                    % (guest.ref(), guest.runtime))
+            if isinstance(faults, ChaosProfile):
+                # ClusterConfig lowers only a uniform rate: a chaos
+                # schedule would be silently dropped.
+                raise SpecTypeError(
+                    "faults", "field 'faults': chaos schedules run only "
+                    "in host mode, got %s in mode 'cluster'"
+                    % faults.ref())
             if host.xenstore_workers != 1 or host.xenstore_batch:
                 # ClusterConfig has no XenStore knobs: every cluster
                 # host runs the single-worker, unbatched daemon.

@@ -9,6 +9,8 @@ first worker to fail raises a :class:`SweepError` naming its seeds.  A
 cluster-mode spec under a single seed spends its workers on the
 cluster's hosts instead (:func:`workers_on_hosts`), with the same
 manifest, since cluster digests ignore backend and worker count.
+``repro chaos`` reproducers are one-seed manifests too, so
+:func:`replay_manifest` is the one verifier.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from ..pool import WorkerPool, clamp
 from .runner import run_scenario
 from .spec import ScenarioSpec
 
-#: Manifest schema version (mirrors the chaos reproducer contract).
+#: Manifest schema version: one version for sweeps and chaos
+#: reproducers alike (bump on an incompatible change).
 MANIFEST_VERSION = 1
 
 
@@ -44,12 +47,18 @@ def _worker_main(conn, payload: dict,
 
 def manifest_digest(spec_digest: str,
                     records: typing.Sequence[dict]) -> str:
-    """SHA-256 over (spec digest, ordered (seed, run-digest) pairs)."""
+    """SHA-256 over (spec digest, ordered (seed, run-digest) pairs),
+    plus each audited run's violations, so a replay that no longer
+    finds them diverges."""
     rollup = hashlib.sha256()
     rollup.update(("spec:%s\n" % spec_digest).encode("ascii"))
     for record in records:
         rollup.update(("%d:%s\n" % (record["seed"], record["digest"]))
                       .encode("ascii"))
+        for violation in record.get("violations", ()):
+            rollup.update(("%d:violation:%s\n" % (record["seed"],
+                                                   violation))
+                          .encode("utf-8"))
     return rollup.hexdigest()
 
 
@@ -135,9 +144,10 @@ _REPLAY_FIELDS = (
      lambda value: _is_int(value) and value == MANIFEST_VERSION),
     ("spec", "a scenario spec mapping",
      lambda value: isinstance(value, dict)),
-    ("seeds", "a non-empty list of integer seeds",
+    ("seeds", "a non-empty list of distinct integer seeds",
      lambda value: isinstance(value, list) and bool(value)
-     and all(_is_int(seed) for seed in value)),
+     and all(_is_int(seed) for seed in value)
+     and len(set(value)) == len(value)),
     ("manifest_digest", "a digest string",
      lambda value: isinstance(value, str)),
 )

@@ -16,7 +16,7 @@ from repro.stdlib import ScenarioSpec, run_scenario, run_sweep, storm_spec
 hosts = st.sampled_from(["xl@1", "lightvm@1", "chaos+xs@1",
                          "chaos+noxs@1", "lightvm-batched@1"])
 vm_images = st.sampled_from(["daytime@1", "noop@1", "tinyx@1"])
-faults = st.sampled_from(["none@1", "light@1", "heavy@1"])
+faults = st.sampled_from(["none@1", "light@1", "heavy@1", "chaos@1"])
 
 traffics = st.one_of(
     st.just("boot-storm@1"),

@@ -2,10 +2,14 @@
 
 import argparse
 import json
+import pathlib
 
 import pytest
 
-from repro.cli_flags import contiguous_range, parse_seed_set, seed_set
+from repro.cli_flags import parse_seed_set, seed_set
+
+CHAOS_STORM = str(pathlib.Path(__file__).resolve().parent.parent
+                  / "examples" / "chaos_storm.yaml")
 
 
 class TestParseSeedSet:
@@ -46,46 +50,36 @@ class TestParseSeedSet:
         assert seed_set("0..2") == [0, 1, 2]
 
 
-class TestContiguousRange:
-    def test_contiguous_in_any_order(self):
-        assert contiguous_range([3, 1, 2]) == (1, 3)
-        assert contiguous_range([5]) == (5, 1)
-
-    def test_gaps_are_not_contiguous(self):
-        assert contiguous_range([0, 2]) is None
-
-    def test_empty_is_not_contiguous(self):
-        assert contiguous_range([]) is None
-
-
 class TestCliIntegration:
     def test_run_and_chaos_share_the_seeds_spelling(self):
         from repro.cli import build_parser
         parser = build_parser()
         run_args = parser.parse_args(["run", "x.yaml", "--seeds", "0..3"])
-        chaos_args = parser.parse_args(["chaos", "--seeds", "0..3"])
+        chaos_args = parser.parse_args(["chaos", "x.yaml", "--seeds",
+                                        "0..3"])
         assert run_args.seeds == chaos_args.seeds == [0, 1, 2, 3]
-        assert parser.parse_args(["chaos"]).seeds == list(range(16))
+        assert parser.parse_args(["chaos", "x.yaml"]).seeds == \
+            list(range(16))
 
     def test_chaos_bare_integer_is_one_seed(self, capsys):
         from repro.cli import main
-        code = main(["chaos", "--seeds", "2", "--count", "2",
-                     "--occurrences", "4", "--rules", "1"])
-        assert code in (0, 1)
-        assert "1 seeded run(s)" in capsys.readouterr().out
+        assert main(["chaos", CHAOS_STORM, "--seeds", "2"]) == 0
+        assert "1 seed(s)" in capsys.readouterr().out
 
     def test_chaos_canonical_range_does_not_warn(self, capsys):
         from repro.cli import main
-        code = main(["chaos", "--seeds", "0..1", "--count", "2",
-                     "--occurrences", "4", "--rules", "1"])
-        assert code in (0, 1)
+        assert main(["chaos", CHAOS_STORM, "--seeds", "0..1"]) == 0
         assert "deprecated" not in capsys.readouterr().err
 
-    def test_chaos_non_contiguous_seed_set_rejected(self, capsys):
+    def test_chaos_non_contiguous_seed_set_runs_every_seed(self, capsys):
+        # A seed's schedule comes from the seed itself, so any seed set
+        # is a valid campaign.
         from repro.cli import main
-        with pytest.raises(SystemExit):
-            main(["chaos", "--seeds", "0,2,7"])
-        assert "contiguous" in capsys.readouterr().err
+        assert main(["chaos", CHAOS_STORM, "--seeds", "0,2,7"]) == 0
+        out = capsys.readouterr().out
+        for seed in (0, 2, 7):
+            assert "seed %d:" % seed in out
+        assert "seed 1:" not in out
 
     def test_cluster_seed_set_runs_every_seed(self, capsys, tmp_path):
         from repro.cli import main

@@ -36,6 +36,34 @@ class TestVmStorm:
         assert result.stats["booted"] + result.stats["create_failed"] \
             == 12.0
 
+    def test_recovery_profile_attaches_recovery_and_audits(self):
+        audited = run_scenario(
+            storm_spec("s", "chaos+xs@1", "daytime@1", 4,
+                       faults="heavy@1"), keep_host=True)
+        assert audited.host.recovery is not None
+        assert audited.record()["violations"] == audited.violations == []
+        plain = run_scenario(storm_spec("s", "chaos+xs@1", "daytime@1", 4,
+                                        faults="light@1"), keep_host=True)
+        assert plain.host.recovery is None
+        assert plain.violations is None
+
+    def test_untyped_escape_is_a_violation_only_when_audited(
+            self, monkeypatch):
+        import pytest
+
+        from repro.core.host import Host
+
+        def boom(self, image):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(Host, "create_vm", boom)
+        audited = run_scenario(storm_spec(
+            "s", "chaos+xs@1", "daytime@1", 2,
+            faults={"ref": "none@1", "recovery": True}))
+        assert audited.violations == [
+            "unhandled error escaped the scenario: RuntimeError: boom"] * 2
+        with pytest.raises(RuntimeError):
+            run_scenario(storm_spec("s", "chaos+xs@1", "daytime@1", 2))
+
     def test_churn_keeps_working_set_resident(self):
         spec = storm_spec("s", "lightvm@1", "daytime@1", 12,
                           traffic={"ref": "churn@1",

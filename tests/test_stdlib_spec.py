@@ -103,6 +103,60 @@ class TestValidation:
         assert err.value.field == "host"
         assert "no version 2" in str(err.value)
 
+    @pytest.mark.parametrize("base, key, value, field", [
+        (HOST_SPEC, "host", {"ref": "xl@1", "spec": "nope"}, "host"),
+        (HOST_SPEC, "host", {"ref": "xl@1", "variant": "kvm"}, "host"),
+        (HOST_SPEC, "host", {"ref": "xl@1", "pool_slack": -100}, "host"),
+        (HOST_SPEC, "host", {"ref": "xl@1", "pool_slack": 8.5}, "host"),
+        (HOST_SPEC, "guest", {"ref": "daytime@1", "image": "nope"},
+         "guest"),
+        (HOST_SPEC, "guest", {"ref": "daytime@1", "runtime": "gpu"},
+         "guest"),
+        (HOST_SPEC, "traffic", {"ref": "boot-storm@1",
+                                "pattern": "zigzag"}, "traffic"),
+        (HOST_SPEC, "traffic", {"ref": "churn@1",
+                                "churn_working_set": -1}, "traffic"),
+        (HOST_SPEC, "faults", {"ref": "light@1", "rate": 7}, "faults"),
+        (HOST_SPEC, "faults", {"ref": "chaos@1", "rules": [{}]}, "faults"),
+        (BOOT_STORM, "placement", {"ref": "least-loaded@1",
+                                   "policy": "random"}, "placement"),
+        (BOOT_STORM, "topology", {"ref": "lan@1", "epoch_ms": 0},
+         "topology"),
+        (BOOT_STORM, "topology", {"ref": "lan@1",
+                                  "net_bandwidth_mbps": 0}, "topology"),
+        (BOOT_STORM, "traffic", {"ref": "open-loop@1",
+                                 "request_gap_ms": 0}, "traffic"),
+        (BOOT_STORM, "faults", "chaos@1", "faults"),
+        (BOOT_STORM, "guest", "docker@1", "guest"),
+        (dict(HOST_SPEC, guest="docker@1"), "faults", "heavy@1", "faults"),
+        (dict(HOST_SPEC, guest="process@1"), "faults", "heavy@1",
+         "faults"),
+    ])
+    def test_out_of_domain_values_rejected_at_load(
+            self, base, key, value, field, tmp_path, capsys):
+        # Each used to load, then fail at run time with a bare
+        # KeyError/ValueError or run as something else.
+        import json
+
+        from repro.cli import main
+        payload = dict(base, **{key: value})
+        with pytest.raises((ComponentError, SpecTypeError)) as err:
+            ScenarioSpec.from_dict(payload)
+        assert err.value.field == field
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(payload))
+        assert main(["run", str(path)]) == 2
+        assert "field %r" % field in capsys.readouterr().err
+
+    def test_non_string_keys_are_named_not_crashed_on(self):
+        with pytest.raises(UnknownSpecKeyError) as err:
+            loads("name: y\nmode: host\n1: x\n")
+        assert err.value.field == "1"
+        with pytest.raises(ComponentError) as err:
+            ScenarioSpec.from_dict(dict(HOST_SPEC,
+                                        host={"ref": "xl@1", 1: 2}))
+        assert err.value.field == "host"
+
     def test_non_mapping_payload_rejected(self):
         with pytest.raises(SpecTypeError):
             ScenarioSpec.from_dict(["not", "a", "mapping"])  # type: ignore[arg-type]
@@ -189,7 +243,8 @@ class TestDocumentLoading:
         import pathlib
         from repro.stdlib import load_spec
         root = pathlib.Path(__file__).resolve().parent.parent
-        for name in ("boot_storm.yaml", "cluster_storm.yaml",
+        for name in ("boot_storm.yaml", "chaos_churn.yaml",
+                     "chaos_storm.yaml", "cluster_storm.yaml",
                      "fig10_density.yaml", "migration_churn.yaml"):
             spec = load_spec(root / "examples" / name)
             assert spec.digest()

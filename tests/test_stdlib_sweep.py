@@ -61,6 +61,17 @@ class TestManifestShape:
         assert run_sweep(_spec(), seeds)["manifest_digest"] != \
             run_sweep(other, seeds)["manifest_digest"]
 
+    def test_digest_covers_audited_violations_only(self):
+        from repro.stdlib import manifest_digest
+        record = {"seed": 0, "digest": "ab" * 32}
+        clean = manifest_digest("spec", [dict(record, violations=[])])
+        # A clean audited run digests as a non-audited one does...
+        assert clean == manifest_digest("spec", [record])
+        # ...and a violation moves the digest, so a replay that no
+        # longer finds it diverges.
+        assert manifest_digest(
+            "spec", [dict(record, violations=["leak"])]) != clean
+
     def test_latency_stats_take_worst_seed_counters_accumulate(self):
         manifest = run_sweep(_spec(), [0, 1, 2], workers=1)
         runs = manifest["runs"]
@@ -130,7 +141,7 @@ class TestReplay:
         ("version", None), ("version", "1"), ("version", True),
         ("spec", None), ("spec", "boot-storm"),
         ("seeds", None), ("seeds", "0..3"), ("seeds", []),
-        ("seeds", [0, "1"]),
+        ("seeds", [0, "1"]), ("seeds", [1, 1]),
         ("manifest_digest", None), ("manifest_digest", 7),
     ])
     def test_malformed_manifest_names_the_field(self, field, value):
