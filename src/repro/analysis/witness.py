@@ -363,14 +363,13 @@ def run_shard_witness(workers: int = 4, guests: int = 12,
     the ``xenstore.shard[*]`` family edge for
     :meth:`~RaceWitness.validate_static` to check.
     """
-    from ..core import Host
-    from ..guests import DAYTIME_UNIKERNEL
     from ..sim import Simulator
+    from ..stdlib import run_scenario, storm_spec
 
     sim = Simulator()
     witness = RaceWitness().attach(sim)
-    host = Host(variant="xl", seed=seed, sim=sim,
-                xenstore_workers=workers, xenstore_batch=True)
-    for _ in range(guests):
-        host.create_vm(DAYTIME_UNIKERNEL)
+    host = {"ref": "xl@1", "xenstore_workers": workers,
+            "xenstore_batch": True, "pooled": False}
+    run_scenario(storm_spec("shard-witness", host, "daytime@1", guests),
+                 seed, sim=sim)
     return witness

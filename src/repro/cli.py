@@ -3,7 +3,6 @@
 Gives the library a downstream-usable front end:
 
 * ``images`` — list the guest catalogue with the paper's footprints;
-* ``create`` — run a boot storm under any toolstack variant;
 * ``checkpoint`` — save/restore round-trip timings;
 * ``tinyx-build`` — run the Tinyx pipeline for an application;
 * ``usecase`` — run one of the §7 use cases;
@@ -14,10 +13,6 @@ Gives the library a downstream-usable front end:
   an optional runtime happens-before witness;
 * ``bench-trend`` — wall-clock deltas between two BENCH_*.json sets;
 * ``bench-gate`` — engine microbench vs the committed perf baseline;
-* ``sanitize`` — dual-run replay-digest check with runtime sanitizers;
-* ``trace`` — boot storm under the span tracer: per-phase attribution,
-  span summary, optional Chrome/Perfetto ``trace_event`` export;
-* ``metrics`` — boot storm, then print the scraped metrics registry;
 * ``chaos`` — sweep a recovery-enabled scenario spec (e.g. one using the
   ``chaos@1`` fault component) over a seed set, every run audited
   after recovery, and delta-debug each failing seed's fault schedule
@@ -29,7 +24,20 @@ Gives the library a downstream-usable front end:
   list of them, such as chaos reproducers) and verifies its digest;
 * ``components`` — list the stdlib component catalogue.
 
-Flag conventions are shared across ``run``/``chaos`` (see
+Four commands observe one run of a single-host VM spec (``SPEC
+[--seed N]``), each passing ``run_scenario`` a simulator of its own:
+
+* ``create`` — the per-guest create/boot table, mean/median/p90 and an
+  optional plot;
+* ``sanitize`` — runtime sanitizers plus the invariant audit on each of
+  ``--runs`` runs, then a comparison of their replay digests;
+* ``trace`` — the span tracer: per-phase attribution, span summary,
+  optional Chrome/Perfetto ``trace_event`` export;
+* ``metrics`` — the scraped metrics registry, fault-point tallies
+  (``faults/<point>/*``) included.
+
+A cluster spec or a container/process guest exits 2 naming ``mode`` or
+``guest``.  Flag conventions are shared across ``run``/``chaos`` (see
 :mod:`repro.cli_flags`): ``--seeds A..B`` for a seed set, ``--out`` for
 the JSON artifact.
 """
@@ -73,75 +81,33 @@ def _lookup_or_exit(parser_error, name: str):
 
 
 def _cmd_create(args) -> int:
-    image = _lookup_or_exit(args.parser_error, args.image)
-    host = Host(variant=args.variant, seed=args.seed,
-                pool_target=args.count + 32,
-                shell_memory_kb=image.memory_kb)
-    host.warmup(20.0 * (args.count + 32))
-    creates, boots = [], []
-    for _ in range(args.count):
-        record = host.create_vm(image)
-        creates.append(record.create_ms)
-        boots.append(record.boot_ms)
-    print("booted %d x %s under %s" % (args.count, args.image,
-                                       args.variant))
+    from .sim import Simulator
+    run = _observed_run(args, Simulator())
+    if run is None:
+        return 2
+    spec, result = run
+    creates = result.series["create_ms"]
+    boots = result.series["boot_ms"]
+    print("booted %d x %s under %s (%d failed)"
+          % (len(creates), spec.guest.image, spec.host.variant,
+             result.stats["create_failed"]))
+    if not creates:
+        return 1
     print("%-8s %12s %12s" % ("n", "create(ms)", "boot(ms)"))
-    for index in sample_indices(args.count, min(10, args.count)):
+    for index in sample_indices(len(creates), min(10, len(creates))):
         print("%-8d %12.2f %12.2f" % (index + 1, creates[index],
                                       boots[index]))
     print("create: mean=%.2f median=%.2f p90=%.2f"
           % (mean(creates), median(creates), percentile(creates, 90)))
-    if args.stats:
-        from .core.stats import snapshot
-        print()
-        print(snapshot(host).render())
     if args.plot:
         from .core.asciiplot import render
         print()
-        print(render(list(range(1, args.count + 1)),
+        print(render(list(range(1, len(creates) + 1)),
                      {"create": creates, "boot": boots},
                      logy=True,
-                     title="%s on %s" % (args.image, args.variant)))
+                     title="%s on %s" % (spec.guest.image,
+                                         spec.host.variant)))
     return 0
-
-
-def _cmd_faults(args) -> int:
-    from .faults import FaultPlan
-    plan = FaultPlan.uniform(args.rate, points=args.points, seed=args.seed)
-    host = Host(variant=args.variant, seed=args.seed,
-                pool_target=args.count + 32,
-                shell_memory_kb=_lookup_or_exit(args.parser_error,
-                                                args.image).memory_kb,
-                fault_plan=plan)
-    image = lookup(args.image)
-    host.warmup(20.0 * (args.count + 32))
-    creates, failures = [], 0
-    for _ in range(args.count):
-        try:
-            record = host.create_vm(image)
-        except Exception:
-            failures += 1
-            continue
-        creates.append(record.create_ms)
-    host.sim.run(until=host.sim.now + 100.0)
-    print("fault storm: %d x %s under %s at rate %.3f (%s)"
-          % (args.count, args.image, args.variant, args.rate, args.points))
-    if creates:
-        print("create: mean=%.2f median=%.2f p99=%.2f ms (%d ok, %d failed)"
-              % (mean(creates), median(creates), percentile(creates, 99),
-                 len(creates), failures))
-    else:
-        print("no creation survived (%d failed)" % failures)
-    print("%-24s %12s %10s" % ("fault point", "occurrences", "injected"))
-    for point, counters in sorted(host.fault_metrics().items()):
-        print("%-24s %12d %10d" % (point, counters["occurrences"],
-                                   counters["injected"]))
-    violations = host.check_invariants()
-    print("invariants: %s" % ("clean" if not violations
-                              else "%d violation(s)" % len(violations)))
-    for violation in violations:
-        print("  " + violation)
-    return 1 if violations else 0
 
 
 def _cmd_checkpoint(args) -> int:
@@ -369,38 +335,28 @@ def _cmd_bench_gate(args) -> int:
 
 
 def _cmd_sanitize(args) -> int:
-    from .analysis import EventTrace, Sanitizer
-    from .faults import FaultPlan
+    from .analysis import Sanitizer
     from .sim import Simulator
 
-    image = _lookup_or_exit(args.parser_error, args.image)
-    plan = (FaultPlan.uniform(args.rate, points=args.points,
-                              seed=args.seed)
-            if args.rate > 0.0 else None)
     digests, violation_total = [], 0
-    for run in range(args.runs):
+    for run_index in range(args.runs):
         sim = Simulator()
-        trace = EventTrace().attach(sim)
         sanitizer = Sanitizer().attach(sim)
         with sanitizer.watch_rng():
-            host = Host(variant=args.variant, seed=args.seed, sim=sim,
-                        pool_target=args.count + 32,
-                        shell_memory_kb=image.memory_kb,
-                        fault_plan=plan)
-            host.warmup(20.0 * (args.count + 32))
-            failures = 0
-            for _ in range(args.count):
-                try:
-                    host.create_vm(image)
-                except Exception:
-                    failures += 1
+            run = _observed_run(args, sim)
+            if run is None:
+                return 2
+            _spec, result = run
             # Drain in-flight teardowns before auditing.
             sim.run(until=sim.now + 500.0)
-        violations = sanitizer.check() + host.check_invariants()
+        violations = sanitizer.check() + (
+            result.violations if result.violations is not None
+            else result.host.check_invariants())
         violation_total += len(violations)
-        digests.append(trace.digest())
+        digests.append(result.digest)
         print("run %d: %d events, %d failed create(s), digest %s"
-              % (run + 1, trace.events, failures, trace.digest()))
+              % (run_index + 1, result.events,
+                 result.stats["create_failed"], result.digest))
         for violation in violations:
             print("  violation: %s" % violation)
     identical = len(set(digests)) == 1
@@ -410,37 +366,33 @@ def _cmd_sanitize(args) -> int:
     return 0 if identical and not violation_total else 1
 
 
-def _traced_storm(args):
-    """Run a boot storm with a tracer + metrics registry attached;
-    returns (host, tracer, registry)."""
+def _traced_run(args):
+    """``args.spec`` run with a tracer (and its metrics registry)
+    attached: ``(spec, result, tracer)``, or ``None`` on a spec error."""
     from .sim import Simulator
     from .trace import MetricsRegistry, Tracer
 
-    image = _lookup_or_exit(args.parser_error, args.image)
     sim = Simulator()
-    registry = MetricsRegistry(sim=sim)
-    tracer = Tracer(metrics=registry).attach(sim)
-    host = Host(variant=args.variant, seed=args.seed, sim=sim,
-                pool_target=args.count + 32,
-                shell_memory_kb=image.memory_kb)
-    host.warmup(20.0 * (args.count + 32))
-    for _ in range(args.count):
-        host.create_vm(image)
-    return host, tracer, registry
+    tracer = Tracer(metrics=MetricsRegistry(sim=sim)).attach(sim)
+    run = _observed_run(args, sim)
+    return None if run is None else run + (tracer,)
 
 
 def _cmd_trace(args) -> int:
     from .trace import (phase_attribution, render_attribution,
                         render_span_summary, write_chrome_trace)
 
-    host, tracer, _registry = _traced_storm(args)
+    run = _traced_run(args)
+    if run is None:
+        return 2
+    spec, _result, tracer = run
     print("traced %d x %s under %s: %d spans on %d tracks"
-          % (args.count, args.image, args.variant, len(tracer.spans),
-             len(tracer.track_names)))
+          % (spec.guests, spec.guest.image, spec.host.variant,
+             len(tracer.spans), len(tracer.track_names)))
     totals = phase_attribution(tracer)
     if totals:
         print()
-        print(render_attribution(totals, count=args.count))
+        print(render_attribution(totals, count=spec.guests))
     print()
     print(render_span_summary(tracer))
     if args.out:
@@ -456,8 +408,11 @@ def _cmd_metrics(args) -> int:
 
     from .trace import collect_host_metrics
 
-    host, _tracer, registry = _traced_storm(args)
-    collect_host_metrics(host, registry)
+    run = _traced_run(args)
+    if run is None:
+        return 2
+    _spec, result, tracer = run
+    registry = collect_host_metrics(result.host, tracer.metrics)
     if args.json:
         print(json.dumps(registry.as_dict(), indent=2, sort_keys=True))
     else:
@@ -477,6 +432,22 @@ def _load_spec(command: str, path: str):
         print("repro %s: error: %s: %s" % (command, path, exc),
               file=sys.stderr)
     return None
+
+
+def _observed_run(args, sim):
+    """``args.spec`` run once at ``args.seed`` on ``sim`` (observers
+    attached) as ``(spec, result)``, or ``None`` once the error is
+    printed.  A cluster spec or a non-VM guest is a ``SpecTypeError``."""
+    from .stdlib import SpecError, run_scenario
+    spec = _load_spec(args.command, args.spec)
+    if spec is None:
+        return None
+    try:
+        return spec, run_scenario(spec, args.seed, keep_host=True, sim=sim)
+    except SpecError as exc:
+        print("repro %s: error: %s: %s" % (args.command, args.spec, exc),
+              file=sys.stderr)
+        return None
 
 
 def _cmd_chaos(args) -> int:
@@ -608,6 +579,16 @@ def _cmd_components(args) -> int:
     return 0
 
 
+def _spec_parser(sub, name: str, help_text: str):
+    """A subcommand that observes one run of a single-host VM spec."""
+    parser = sub.add_parser(name, help=help_text)
+    parser.add_argument("spec", help="host-mode scenario spec with a VM "
+                                     "guest (.yaml/.yml/.json)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed to run (default 0)")
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -617,28 +598,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("images", help="list the guest image catalogue") \
         .set_defaults(fn=_cmd_images)
 
-    create = sub.add_parser("create", help="run a boot storm")
-    create.add_argument("--variant", choices=VARIANTS, default="lightvm")
-    create.add_argument("--image", default="daytime")
-    create.add_argument("--count", type=_positive_int, default=10)
-    create.add_argument("--seed", type=int, default=0)
+    create = _spec_parser(sub, "create",
+                          "run a single-host VM scenario spec and print "
+                          "its per-guest create/boot times")
     create.add_argument("--plot", action="store_true",
                         help="render an ASCII chart of the series")
-    create.add_argument("--stats", action="store_true",
-                        help="print a host-wide stats snapshot at the end")
     create.set_defaults(fn=_cmd_create)
-
-    faults = sub.add_parser(
-        "faults", help="run a boot storm under injected faults")
-    faults.add_argument("--variant", choices=VARIANTS, default="lightvm")
-    faults.add_argument("--image", default="daytime")
-    faults.add_argument("--count", type=_positive_int, default=10)
-    faults.add_argument("--rate", type=float, default=0.02,
-                        help="per-occurrence fault probability")
-    faults.add_argument("--points", default="*",
-                        help="fault-point pattern, e.g. 'xenstore.*'")
-    faults.add_argument("--seed", type=int, default=0)
-    faults.set_defaults(fn=_cmd_faults)
 
     checkpoint = sub.add_parser("checkpoint",
                                 help="save/restore round trips")
@@ -730,42 +695,24 @@ def build_parser() -> argparse.ArgumentParser:
                                  "if --result is absent)")
     bench_gate.set_defaults(fn=_cmd_bench_gate)
 
-    sanitize = sub.add_parser(
-        "sanitize",
-        help="dual-run replay-digest check with runtime sanitizers")
-    sanitize.add_argument("--variant", choices=VARIANTS,
-                          default="lightvm")
-    sanitize.add_argument("--image", default="daytime")
-    sanitize.add_argument("--count", type=_positive_int, default=10)
-    sanitize.add_argument("--seed", type=int, default=0)
-    sanitize.add_argument("--rate", type=float, default=0.0,
-                          help="uniform fault-injection probability "
-                               "(0 disables the FaultPlan)")
-    sanitize.add_argument("--points", default="*",
-                          help="fault-point pattern, e.g. 'xenstore.*'")
+    sanitize = _spec_parser(
+        sub, "sanitize", "run a single-host VM scenario spec under the "
+                         "runtime sanitizers and compare replay digests")
     sanitize.add_argument("--runs", type=_positive_int, default=2,
                           help="independent runs to digest and compare")
     sanitize.set_defaults(fn=_cmd_sanitize)
 
-    trace = sub.add_parser(
-        "trace", help="boot storm under the span tracer "
-                      "(phase attribution + Perfetto export)")
-    trace.add_argument("--variant", choices=VARIANTS, default="lightvm")
-    trace.add_argument("--image", default="daytime")
-    trace.add_argument("--count", type=_positive_int, default=10)
-    trace.add_argument("--seed", type=int, default=0)
+    trace = _spec_parser(
+        sub, "trace", "run a single-host VM scenario spec under the span "
+                      "tracer (phase attribution + Perfetto export)")
     trace.add_argument("--out", metavar="FILE",
                        help="write a Chrome/Perfetto trace_event JSON "
                             "file")
     trace.set_defaults(fn=_cmd_trace)
 
-    metrics = sub.add_parser(
-        "metrics", help="boot storm, then print the metrics registry")
-    metrics.add_argument("--variant", choices=VARIANTS,
-                         default="lightvm")
-    metrics.add_argument("--image", default="daytime")
-    metrics.add_argument("--count", type=_positive_int, default=10)
-    metrics.add_argument("--seed", type=int, default=0)
+    metrics = _spec_parser(
+        sub, "metrics", "run a single-host VM scenario spec, then print "
+                        "the metrics registry")
     metrics.add_argument("--json", action="store_true",
                          help="emit the registry as JSON")
     metrics.set_defaults(fn=_cmd_metrics)

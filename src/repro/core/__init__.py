@@ -4,25 +4,19 @@
 from .host import Host, VARIANTS
 from .hostspec import (AMD_OPTERON_64, HostSpec, XEON_E5_1630,
                        XEON_E5_1630_2DOM0, XEON_E5_2690)
-from .stats import HostStats, snapshot
 from .workloads import (CheckpointSweepResult, PauseDensityResult,
-                        StormResult, boot_storm, checkpoint_sweep,
-                        pause_density)
+                        checkpoint_sweep, pause_density)
 
 __all__ = [
     "AMD_OPTERON_64",
     "CheckpointSweepResult",
     "Host",
     "HostSpec",
-    "HostStats",
-    "snapshot",
     "PauseDensityResult",
-    "StormResult",
     "VARIANTS",
     "XEON_E5_1630",
     "XEON_E5_1630_2DOM0",
     "XEON_E5_2690",
-    "boot_storm",
     "checkpoint_sweep",
     "pause_density",
 ]

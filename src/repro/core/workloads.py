@@ -1,10 +1,9 @@
 """Reusable experiment drivers.
 
-The same few workload shapes recur across the paper's evaluation: boot a
-storm of guests and watch per-creation latency; checkpoint a sample of a
-running fleet; pause part of a fleet to free CPU.  These drivers wrap
-them behind one call each so examples, the CLI and downstream scripts do
-not re-implement the loops.
+Two workload shapes of the paper's evaluation that are not scenario-spec
+traffic patterns: checkpoint a sample of a running fleet (Fig 12), and
+pause part of a fleet to free CPU.  Boot storms run as specs through
+:func:`repro.stdlib.run_scenario`.
 """
 
 from __future__ import annotations
@@ -15,44 +14,6 @@ import typing
 from ..guests.images import GuestImage
 from .host import Host
 from .hostspec import HostSpec, XEON_E5_1630
-
-
-@dataclasses.dataclass
-class StormResult:
-    """Outcome of a boot storm."""
-
-    variant: str
-    image: str
-    create_ms: typing.List[float]
-    boot_ms: typing.List[float]
-    host: Host
-
-    @property
-    def total_ms(self) -> typing.List[float]:
-        return [c + b for c, b in zip(self.create_ms, self.boot_ms)]
-
-
-def boot_storm(variant: str, image: GuestImage, count: int,
-               spec: HostSpec = XEON_E5_1630, seed: int = 0,
-               boot: bool = True,
-               warmup_ms_per_shell: float = 20.0) -> StormResult:
-    """Sequentially create ``count`` guests; returns per-VM timings.
-
-    For split-toolstack variants the shell pool is sized to cover the
-    storm and pre-filled during warmup (the paper's steady-state
-    assumption); pass ``warmup_ms_per_shell=0`` to start cold.
-    """
-    host = Host(spec=spec, variant=variant, seed=seed,
-                pool_target=count + 32, shell_memory_kb=image.memory_kb)
-    if warmup_ms_per_shell:
-        host.warmup(warmup_ms_per_shell * (count + 32))
-    creates, boots = [], []
-    for _ in range(count):
-        record = host.create_vm(image, boot=boot)
-        creates.append(record.create_ms)
-        boots.append(record.boot_ms)
-    return StormResult(variant=variant, image=image.name,
-                       create_ms=creates, boot_ms=boots, host=host)
 
 
 @dataclasses.dataclass

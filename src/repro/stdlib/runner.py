@@ -11,6 +11,14 @@ cluster mode, the combined per-host cluster digest.  The digest is a
 pure function of (resolved spec, seed) — backends, worker counts, and
 attached observers must not move it.
 
+A caller that wants to observe a single-host VM run passes its own
+``sim`` with a :class:`~repro.trace.Tracer`, a
+:class:`~repro.analysis.sanitize.Sanitizer` or a
+:class:`~repro.analysis.witness.RaceWitness` already attached; the run
+attaches its :class:`~repro.analysis.sanitize.EventTrace` to that
+simulator and builds the host on it.  ``repro create``, ``sanitize``,
+``trace``, ``metrics`` and ``races --witness`` run that way.
+
 A host-mode run whose fault profile has ``recovery`` on is *audited*:
 after the storm the host is reaped, drained for 500 ms and checked for
 leaked state, and the invariant violations go into the run's record.
@@ -27,7 +35,7 @@ import typing
 from ..analysis.sanitize import EventTrace
 from ..faults import ABSORBED
 from ..sim import RngStream, Simulator
-from .spec import ScenarioSpec
+from .spec import ScenarioSpec, SpecTypeError
 
 
 @dataclasses.dataclass
@@ -65,20 +73,44 @@ class ScenarioResult:
 
 
 def run_scenario(spec: ScenarioSpec, seed: int = 0,
-                 keep_host: bool = False, workers: int = 1
-                 ) -> ScenarioResult:
-    """Run ``spec`` once under ``seed``; returns the result + digest."""
+                 keep_host: bool = False, workers: int = 1,
+                 sim: typing.Optional[Simulator] = None) -> ScenarioResult:
+    """Run ``spec`` once under ``seed``; returns the result + digest.
+
+    ``sim`` (host-mode VM specs only) is a fresh simulator, observers
+    attached, to run on instead of a new one.
+    """
+    if sim is not None:
+        _check_observable(spec, sim)
     if spec.mode == "cluster":
         return _cluster_scenario(spec, seed, workers)
     runtime = spec.guest.runtime
     if runtime == "vm":
-        return _vm_storm(spec, seed, keep_host)
+        return _vm_storm(spec, seed, keep_host,
+                         sim if sim is not None else Simulator())
     if runtime == "container":
         return _container_storm(spec, seed)
     if runtime == "process":
         return _process_storm(spec, seed)
     raise ValueError("guest %s has unknown runtime %r"
                      % (spec.guest.ref(), runtime))
+
+
+def _check_observable(spec: ScenarioSpec, sim: Simulator) -> None:
+    """Reject a caller-supplied ``sim`` the run cannot use."""
+    if spec.mode != "host":
+        raise SpecTypeError(
+            "mode", "field 'mode': an observed run needs a single-host "
+            "spec, got mode %r" % spec.mode)
+    if spec.guest.runtime != "vm":
+        raise SpecTypeError(
+            "guest", "field 'guest': an observed run needs a VM guest, "
+            "got %s (runtime %r)" % (spec.guest.ref(), spec.guest.runtime))
+    if sim.trace is not None:
+        # The run's own EventTrace would replace it, and the caller's
+        # would digest nothing.
+        raise ValueError("the simulator already has an event trace "
+                         "attached; pass a fresh one")
 
 
 # ----------------------------------------------------------------------
@@ -120,9 +152,8 @@ def _audited_call(escaped: typing.List[str], call, *args) -> int:
     return 0
 
 
-def _vm_storm(spec: ScenarioSpec, seed: int,
-              keep_host: bool) -> ScenarioResult:
-    sim = Simulator()
+def _vm_storm(spec: ScenarioSpec, seed: int, keep_host: bool,
+              sim: Simulator) -> ScenarioResult:
     trace = EventTrace().attach(sim)
     image = spec.guest.build()
     fault_plan = spec.faults.build(seed)

@@ -311,8 +311,8 @@ class ChaosToolstack:
         try:
             yield from self.xs.transaction(register, rng=self.rng)
         except RetryExhausted as exc:
-            raise RuntimeError("chaos registration for %r: retries "
-                               "exhausted" % config.name) from exc
+            raise RetryExhausted("chaos registration for %r: retries "
+                                 "exhausted" % config.name) from exc
 
     def _setup_xs_devices(self, domain: Domain, config: VMConfig, shell):
         """Generator: device setup via XenStore, optionally pre-created."""

@@ -39,7 +39,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..sim.engine import Simulator
 
 
-class DeviceSetupError(RuntimeError):
+class DeviceSetupError(RetryExhausted):
     """Device creation failed permanently (retries exhausted)."""
 
 

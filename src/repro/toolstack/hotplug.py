@@ -11,7 +11,9 @@ Both handlers survive injected script failures (the paper's motivating
 flakiness): the ``hotplug.script`` / ``hotplug.xendevd`` fault points make
 a run fail after charging its latency (plus any hang modeled by the rule's
 ``delay_ms``), and the handler relaunches per its retry policy, raising
-:class:`HotplugError` once the budget is spent.
+:class:`HotplugError` once its retries run out (or
+:class:`~repro.faults.retry.RetryBudgetExhausted` once its backoff
+budget is spent) — both :class:`~repro.faults.retry.RetryExhausted`.
 """
 
 from __future__ import annotations
@@ -20,14 +22,15 @@ import dataclasses
 import typing
 
 from ..faults.plan import NULL_INJECTOR
-from ..faults.retry import RetryBudgetExhausted, RetryPolicy
+from ..faults.retry import (RetryBudgetExhausted, RetryExhausted,
+                            RetryPolicy)
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..sim.engine import Simulator
 
 
-class HotplugError(RuntimeError):
-    """A hotplug handler kept failing past its retry budget."""
+class HotplugError(RetryExhausted):
+    """A hotplug handler kept failing past its retry count."""
 
 
 @dataclasses.dataclass

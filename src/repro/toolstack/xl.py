@@ -58,8 +58,8 @@ class XlCosts:
     teardown_entries: int = 6
 
 
-class ToolstackError(RuntimeError):
-    """A toolstack operation failed."""
+class ToolstackError(RetryExhausted):
+    """An xl operation ran out of retries."""
 
 
 class XlToolstack:

@@ -1,9 +1,10 @@
 """Host scraping: fold every subsystem's counters into one registry.
 
 :func:`collect_host_metrics` walks a live :class:`~repro.core.host.Host`
-and publishes its state through a :class:`MetricsRegistry` — the same
-counters :func:`repro.core.stats.snapshot` reads, plus the fault-injector
-tallies and scheduler/memory gauges.  Repeated calls against the same
+and publishes its state through a :class:`MetricsRegistry`: domains by
+state, memory, CPU, hypercall counts, XenStore and noxs traffic, the
+shell pool, and the fault-injector tallies.  ``repro metrics`` prints
+it; it is the one host-wide stats view.  Repeated calls against the same
 registry refresh gauges in place and reset counters to the subsystems'
 current values, so the registry always reflects "now".
 """

@@ -7,6 +7,18 @@ import pytest
 
 from repro.cli import build_parser, main
 
+EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
+
+
+def _spec(tmp_path, host="lightvm@1", guests=3, faults="none@1",
+          guest="daytime@1"):
+    """A single-host storm spec file under ``tmp_path``."""
+    path = tmp_path / "storm.json"
+    path.write_text(json.dumps({
+        "name": "cli-storm", "mode": "host", "host": host, "guest": guest,
+        "traffic": "boot-storm@1", "faults": faults, "guests": guests}))
+    return str(path)
+
 
 class TestParser:
     def test_requires_command(self):
@@ -18,44 +30,46 @@ class TestParser:
             build_parser().parse_args(["fly-to-moon"])
 
     def test_create_defaults(self):
-        args = build_parser().parse_args(["create"])
-        assert args.variant == "lightvm"
-        assert args.image == "daytime"
-        assert args.count == 10
+        args = build_parser().parse_args(["create", "storm.yaml"])
+        assert args.spec == "storm.yaml"
+        assert args.seed == 0
+        assert args.plot is False
 
-    def test_invalid_variant_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["create", "--variant", "kvm"])
+    def test_invalid_variant_rejected(self, tmp_path, capsys):
+        spec = _spec(tmp_path, host={"ref": "lightvm@1", "variant": "kvm"})
+        assert main(["create", spec]) == 2
+        err = capsys.readouterr().err
+        assert "'variant'" in err
+        assert "Traceback" not in err
 
-    def test_faults_defaults(self):
-        args = build_parser().parse_args(["faults"])
-        assert args.variant == "lightvm"
-        assert args.rate == 0.02
-        assert args.points == "*"
+    def test_faults_is_an_unknown_command(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["faults"])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'faults'" in capsys.readouterr().err
 
     def test_lint_defaults(self):
         args = build_parser().parse_args(["lint"])
         assert args.paths == []
 
     def test_sanitize_defaults(self):
-        args = build_parser().parse_args(["sanitize"])
-        assert args.variant == "lightvm"
-        assert args.rate == 0.0
+        args = build_parser().parse_args(["sanitize", "storm.yaml"])
+        assert args.seed == 0
         assert args.runs == 2
 
     def test_sanitize_rejects_single_run(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["sanitize", "--runs", "0"])
+            build_parser().parse_args(["sanitize", "storm.yaml",
+                                       "--runs", "0"])
 
     def test_trace_defaults(self):
-        args = build_parser().parse_args(["trace"])
-        assert args.variant == "lightvm"
-        assert args.count == 10
+        args = build_parser().parse_args(["trace", "storm.yaml"])
+        assert args.seed == 0
         assert args.out is None
 
     def test_metrics_defaults(self):
-        args = build_parser().parse_args(["metrics"])
-        assert args.variant == "lightvm"
+        args = build_parser().parse_args(["metrics", "storm.yaml"])
+        assert args.seed == 0
         assert args.json is False
 
 
@@ -66,34 +80,43 @@ class TestCommands:
         assert "daytime" in out
         assert "debian" in out
 
-    def test_create_prints_summary(self, capsys):
-        assert main(["create", "--count", "3", "--variant",
-                     "chaos+noxs"]) == 0
+    def test_create_prints_summary(self, tmp_path, capsys):
+        assert main(["create", _spec(tmp_path, host="chaos+noxs@1")]) == 0
         out = capsys.readouterr().out
-        assert "booted 3 x daytime" in out
+        assert "booted 3 x daytime under chaos+noxs (0 failed)" in out
         assert "mean=" in out
 
-    def test_faults_storm_reports_clean_invariants(self, capsys):
-        assert main(["faults", "--count", "3", "--variant", "xl",
-                     "--rate", "0.1", "--seed", "2"]) == 0
+    def test_create_with_nothing_booted_exits_1(self, tmp_path, capsys):
+        spec = _spec(tmp_path, host="chaos+xs@1", guests=2,
+                     faults={"ref": "light@1", "rate": 1.0,
+                             "points": "hotplug.*"})
+        assert main(["create", spec, "--seed", "1"]) == 1
         out = capsys.readouterr().out
-        assert "fault storm: 3 x daytime under xl" in out
-        assert "fault point" in out
-        assert "invariants: clean" in out
+        assert "booted 0 x daytime under chaos+xs (2 failed)" in out
+        assert "mean=" not in out
 
-    def test_faults_scoped_to_one_point(self, capsys):
-        assert main(["faults", "--count", "2", "--variant", "chaos+xs",
-                     "--rate", "1.0", "--points", "hotplug.*",
-                     "--seed", "1"]) == 0
+    def test_faults_storm_reports_clean_invariants(self, tmp_path, capsys):
+        spec = _spec(tmp_path, host="xl@1",
+                     faults={"ref": "light@1", "rate": 0.1})
+        assert main(["sanitize", spec, "--seed", "2"]) == 0
         out = capsys.readouterr().out
-        assert "hotplug.xendevd" in out
+        assert "sanitizers: clean" in out
+        assert "replay: IDENTICAL" in out
+
+    def test_faults_scoped_to_one_point(self, tmp_path, capsys):
+        spec = _spec(tmp_path, host="chaos+xs@1", guests=2,
+                     faults={"ref": "light@1", "rate": 1.0,
+                             "points": "hotplug.*"})
+        assert main(["metrics", spec, "--seed", "1", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
         # Occurrences are counted everywhere, but only the scoped point
         # actually injects faults.
-        for line in out.splitlines():
-            if line.startswith("xenstore."):
-                assert line.split()[-1] == "0"
-            if line.startswith("hotplug.xendevd"):
-                assert line.split()[-1] != "0"
+        assert payload["faults/hotplug.xendevd/injected"]["value"] > 0
+        xenstore = [name for name in payload
+                    if name.startswith("faults/xenstore.")
+                    and name.endswith("/injected")]
+        assert xenstore
+        assert all(payload[name]["value"] == 0 for name in xenstore)
 
     def test_checkpoint_round_trips(self, capsys):
         assert main(["checkpoint", "--cycles", "2"]) == 0
@@ -129,16 +152,18 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "2002" in out
 
-    def test_deterministic_output(self, capsys):
-        main(["create", "--count", "3", "--seed", "5"])
+    def test_deterministic_output(self, tmp_path, capsys):
+        spec = _spec(tmp_path)
+        assert main(["create", spec, "--seed", "5", "--plot"]) == 0
         first = capsys.readouterr().out
-        main(["create", "--count", "3", "--seed", "5"])
+        main(["create", spec, "--seed", "5", "--plot"])
         second = capsys.readouterr().out
         assert first == second
+        assert "daytime on lightvm" in first  # the plot title
 
     def test_trace_reports_attribution(self, capsys, tmp_path):
         out_file = tmp_path / "trace.json"
-        assert main(["trace", "--count", "3", "--variant", "xl",
+        assert main(["trace", _spec(tmp_path, host="xl@1"),
                      "--out", str(out_file)]) == 0
         out = capsys.readouterr().out
         assert "traced 3 x daytime under xl" in out
@@ -148,26 +173,38 @@ class TestCommands:
         document = json.loads(out_file.read_text())
         assert document["traceEvents"]
 
-    def test_metrics_renders_registry(self, capsys):
-        assert main(["metrics", "--count", "3",
-                     "--variant", "chaos+noxs"]) == 0
+    def test_metrics_renders_registry(self, tmp_path, capsys):
+        assert main(["metrics", _spec(tmp_path, host="chaos+noxs@1")]) == 0
         out = capsys.readouterr().out
         assert "hypervisor/hypercalls/domctl_create" in out
         assert "span/noxs.ioctl_create" in out
 
-    def test_metrics_json_mode(self, capsys):
-        assert main(["metrics", "--count", "3", "--variant", "lightvm",
-                     "--json"]) == 0
+    def test_metrics_json_mode(self, tmp_path, capsys):
+        assert main(["metrics", _spec(tmp_path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["memory/guest_kb"]["kind"] == "gauge"
         assert payload["shellpool/target"]["value"] >= 3
 
-    def test_trace_deterministic_output(self, capsys):
-        main(["trace", "--count", "3", "--seed", "5"])
+    def test_trace_deterministic_output(self, tmp_path, capsys):
+        spec = _spec(tmp_path)
+        main(["trace", spec, "--seed", "5"])
         first = capsys.readouterr().out
-        main(["trace", "--count", "3", "--seed", "5"])
+        main(["trace", spec, "--seed", "5"])
         second = capsys.readouterr().out
         assert first == second
+
+    @pytest.mark.parametrize("command", ["create", "sanitize", "trace",
+                                         "metrics"])
+    @pytest.mark.parametrize("kind, field", [("cluster", "mode"),
+                                             ("docker", "guest")])
+    def test_non_vm_host_specs_exit_2(self, tmp_path, capsys, command,
+                                      kind, field):
+        spec = (str(EXAMPLES / "cluster_storm.yaml") if kind == "cluster"
+                else _spec(tmp_path, guest="docker@1"))
+        assert main([command, spec]) == 2
+        err = capsys.readouterr().err
+        assert "field %r" % field in err
+        assert "Traceback" not in err
 
 
 class TestLintCommand:
@@ -204,9 +241,8 @@ class TestLintCommand:
 
 
 class TestSanitizeCommand:
-    def test_fault_free_storm_is_replay_identical(self, capsys):
-        assert main(["sanitize", "--count", "3", "--variant",
-                     "chaos+noxs"]) == 0
+    def test_fault_free_storm_is_replay_identical(self, tmp_path, capsys):
+        assert main(["sanitize", _spec(tmp_path, host="chaos+noxs@1")]) == 0
         out = capsys.readouterr().out
         assert "replay: IDENTICAL" in out
         assert "sanitizers: clean" in out
@@ -214,14 +250,16 @@ class TestSanitizeCommand:
                    if line.startswith("run ")]
         assert len(digests) == 2 and len(set(digests)) == 1
 
-    def test_faulted_storm_is_replay_identical(self, capsys):
-        assert main(["sanitize", "--count", "3", "--variant", "xl",
-                     "--rate", "0.1", "--seed", "3"]) == 0
+    def test_faulted_storm_is_replay_identical(self, tmp_path, capsys):
+        spec = _spec(tmp_path, host="xl@1",
+                     faults={"ref": "light@1", "rate": 0.1})
+        assert main(["sanitize", spec, "--seed", "3"]) == 0
         out = capsys.readouterr().out
         assert "replay: IDENTICAL" in out
 
-    def test_three_way_replay(self, capsys):
-        assert main(["sanitize", "--count", "2", "--runs", "3"]) == 0
+    def test_three_way_replay(self, tmp_path, capsys):
+        assert main(["sanitize", _spec(tmp_path, guests=2),
+                     "--runs", "3"]) == 0
         out = capsys.readouterr().out
         assert out.count("digest") == 3
 

@@ -8,10 +8,11 @@ what keeps existing replay digests unchanged.
 
 import pytest
 
-from repro.faults import (FaultPlan, MessageTimeout, RetryBudgetExhausted,
-                          RetryExhausted, RetryPolicy, retry_call,
-                          retry_generator)
+from repro.faults import (ABSORBED, FaultPlan, MessageTimeout,
+                          RetryBudgetExhausted, RetryExhausted, RetryPolicy,
+                          retry_call, retry_generator)
 from repro.sim import Simulator
+from repro.toolstack import DeviceSetupError, ToolstackError
 from repro.toolstack.hotplug import BashHotplug, HotplugError
 from repro.xenstore import XenStoreDaemon, XsClient
 
@@ -128,6 +129,12 @@ class TestWiredCallSites:
                                      jitter=0.0))
         with pytest.raises(HotplugError):
             drive(sim, hotplug.attach(1, "vif1.0"))
+
+    @pytest.mark.parametrize("error", [HotplugError, DeviceSetupError,
+                                       ToolstackError])
+    def test_retry_exhaustion_is_one_absorbed_type(self, error):
+        assert issubclass(error, RetryExhausted)
+        assert isinstance(error("retries ran out"), ABSORBED)
 
 
 def _injector(plan):

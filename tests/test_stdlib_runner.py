@@ -2,8 +2,10 @@
 
 import pathlib
 
-from repro.stdlib import (ScenarioSpec, load_spec, preset, run_scenario,
-                          storm_spec)
+import pytest
+
+from repro.stdlib import (ScenarioSpec, SpecTypeError, load_spec, preset,
+                          run_scenario, storm_spec)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -17,6 +19,31 @@ class TestVmStorm:
         assert len(result.series["boot_ms"]) == 6
         assert result.events > 0
         assert result.host is None
+
+    def test_returns_per_vm_timings(self):
+        result = run_scenario(storm_spec("s", "lightvm@1", "daytime@1", 20),
+                              keep_host=True)
+        assert len(result.series["create_ms"]) == 20
+        assert len(result.series["boot_ms"]) == 20
+        assert result.host.running_guests == 20
+        assert all(t > 0 for t in result.series["total_ms"])
+
+    def test_cold_start_slower_for_split(self):
+        warm = run_scenario(storm_spec("s", "lightvm@1", "daytime@1", 5))
+        cold = run_scenario(storm_spec(
+            "s", {"ref": "lightvm@1", "warmup_ms_per_shell": 0},
+            "daytime@1", 5))
+        assert cold.series["create_ms"][0] > warm.series["create_ms"][0]
+
+    def test_hotplug_retry_exhaustion_is_absorbed(self):
+        # Every xendevd run fails, so each create runs out of hotplug
+        # retries: a typed RetryExhausted the storm counts, not a crash.
+        spec = storm_spec("s", "chaos+xs@1", "daytime@1", 2,
+                          faults={"ref": "light@1", "rate": 1.0,
+                                  "points": "hotplug.*"})
+        result = run_scenario(spec, seed=1)
+        assert result.stats["create_failed"] == 2.0
+        assert result.stats["booted"] == 0.0
 
     def test_keep_host_returns_live_host(self):
         result = run_scenario(storm_spec("s", "lightvm@1", "daytime@1", 4),
@@ -49,8 +76,6 @@ class TestVmStorm:
 
     def test_untyped_escape_is_a_violation_only_when_audited(
             self, monkeypatch):
-        import pytest
-
         from repro.core.host import Host
 
         def boom(self, image):
@@ -78,6 +103,60 @@ class TestVmStorm:
                             traffic={"ref": "bursty@1", "burst_size": 4,
                                      "burst_gap_ms": 100.0})
         assert run_scenario(bursty).sim_ms > run_scenario(base).sim_ms
+
+
+def _tracer(sim):
+    from repro.trace import MetricsRegistry, Tracer
+    return Tracer(metrics=MetricsRegistry(sim=sim)).attach(sim)
+
+
+def _sanitizer(sim):
+    from repro.analysis import Sanitizer
+    return Sanitizer().attach(sim)
+
+
+def _witness(sim):
+    from repro.analysis import RaceWitness
+    return RaceWitness().attach(sim)
+
+
+class TestObservedRuns:
+    """A caller-supplied ``sim`` carries observers; none moves the
+    digest."""
+
+    @pytest.mark.parametrize("host", ["xl@1", "chaos+xs@1", "lightvm@1"])
+    @pytest.mark.parametrize("attach", [_tracer, _sanitizer, _witness],
+                             ids=["tracer", "sanitizer", "witness"])
+    def test_observers_leave_the_digest_unchanged(self, host, attach):
+        from repro.sim import Simulator
+        spec = storm_spec("s", host, "daytime@1", 12)
+        sim = Simulator()
+        attach(sim)
+        observed = run_scenario(spec, 0, sim=sim)
+        assert sim.trace.digest() == observed.digest  # ran on ``sim``
+        plain = run_scenario(spec, 0)
+        assert observed.digest == plain.digest
+        assert observed.events == plain.events
+        assert observed.series == plain.series
+
+    @pytest.mark.parametrize("spec, field", [
+        (preset("boot-storm", hosts=2, guests=2), "mode"),
+        (storm_spec("s", "xl@1", "docker@1", 2), "guest"),
+    ], ids=["cluster", "docker"])
+    def test_observed_run_needs_a_single_host_vm_spec(self, spec, field):
+        from repro.sim import Simulator
+        with pytest.raises(SpecTypeError) as err:
+            run_scenario(spec, 0, sim=Simulator())
+        assert err.value.field == field
+
+    def test_sim_with_an_event_trace_is_rejected(self):
+        from repro.analysis import EventTrace
+        from repro.sim import Simulator
+        sim = Simulator()
+        EventTrace().attach(sim)
+        with pytest.raises(ValueError, match="event trace"):
+            run_scenario(storm_spec("s", "xl@1", "daytime@1", 2), 0,
+                         sim=sim)
 
 
 class TestBaselineStorms:
@@ -198,7 +277,6 @@ class TestRunnerErrors:
     def test_unknown_runtime_is_an_error(self):
         import dataclasses
 
-        import pytest
         spec = storm_spec("s", "xl@1", "docker@1", 2)
         weird = dataclasses.replace(
             spec, guest=dataclasses.replace(spec.guest, runtime="jar"))

@@ -245,6 +245,7 @@ class TestDocumentLoading:
         root = pathlib.Path(__file__).resolve().parent.parent
         for name in ("boot_storm.yaml", "chaos_churn.yaml",
                      "chaos_storm.yaml", "cluster_storm.yaml",
-                     "fig10_density.yaml", "migration_churn.yaml"):
+                     "fault_storm.yaml", "fig10_density.yaml",
+                     "migration_churn.yaml", "xl_storm.yaml"):
             spec = load_spec(root / "examples" / name)
             assert spec.digest()

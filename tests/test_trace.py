@@ -19,7 +19,6 @@ import pytest
 
 from repro.analysis import EventTrace
 from repro.core import Host
-from repro.core.stats import snapshot
 from repro.guests import lookup
 from repro.sim import Simulator
 from repro.toolstack import PHASES
@@ -379,21 +378,6 @@ class TestHostIntegration:
         assert tracer.by_name("xenstore.txn_commit")
         assert tracer.by_name("xl.create_vm")
         assert host.xenstore.stats["ops"] > 0
-
-    def test_collect_host_metrics_and_snapshot_agree(self):
-        host, _records, _trace, _tracer = _boot_storm("chaos+xs",
-                                                      tracing=True)
-        registry = collect_host_metrics(host)
-        stats = snapshot(host)
-        assert stats.xenstore_ops == registry.get("xenstore/ops").value
-        assert stats.event_channels_dom0 == \
-            registry.get("hypervisor/event_channels/dom0").value
-        assert stats.grants_dom0 == \
-            registry.get("hypervisor/grants/dom0").value
-        assert stats.domains_by_state.get("running", 0) == \
-            registry.get("domains/running").value
-        assert stats.guest_memory_mb == pytest.approx(
-            registry.get("memory/guest_kb").value / 1024.0)
 
     def test_span_histograms_populated_during_storm(self):
         registry = MetricsRegistry()

@@ -2,35 +2,9 @@
 
 import pytest
 
-from repro.core.workloads import (boot_storm, checkpoint_sweep,
-                                  pause_density)
+from repro.core.workloads import checkpoint_sweep, pause_density
 from repro.core.hostspec import XEON_E5_1630_2DOM0
 from repro.guests import DAYTIME_UNIKERNEL, TINYX
-
-
-class TestBootStorm:
-    def test_returns_per_vm_timings(self):
-        result = boot_storm("lightvm", DAYTIME_UNIKERNEL, 20)
-        assert len(result.create_ms) == 20
-        assert len(result.boot_ms) == 20
-        assert result.host.running_guests == 20
-        assert all(t > 0 for t in result.total_ms)
-
-    def test_no_boot_mode(self):
-        result = boot_storm("chaos+noxs", DAYTIME_UNIKERNEL, 5,
-                            boot=False)
-        assert all(b == 0 for b in result.boot_ms)
-
-    def test_cold_start_slower_for_split(self):
-        warm = boot_storm("lightvm", DAYTIME_UNIKERNEL, 5)
-        cold = boot_storm("lightvm", DAYTIME_UNIKERNEL, 5,
-                          warmup_ms_per_shell=0)
-        assert cold.create_ms[0] > warm.create_ms[0]
-
-    def test_variant_recorded(self):
-        result = boot_storm("xl", DAYTIME_UNIKERNEL, 3)
-        assert result.variant == "xl"
-        assert result.image == "daytime"
 
 
 class TestCheckpointSweep:
