@@ -98,8 +98,7 @@ def _check_grants(host, domains, violations) -> None:
     grants = getattr(host.hypervisor, "grants", None)
     if grants is None:
         return
-    for (granter, ref), entry in sorted(getattr(grants, "_entries",
-                                                {}).items()):
+    for (granter, ref), entry in grants.items():
         if granter not in domains:
             violations.append(
                 "grant ref %d leaked by dead granter dom%d" % (ref, granter))
@@ -114,8 +113,7 @@ def _check_event_channels(host, domains, violations) -> None:
     table = getattr(host.hypervisor, "event_channels", None)
     if table is None:
         return
-    for (domid, port), channel in sorted(getattr(table, "_channels",
-                                                 {}).items()):
+    for (domid, port), channel in table.items():
         if getattr(channel, "state", "") == "closed":
             continue  # half-torn pair awaiting the peer's close: benign
         if domid not in domains:

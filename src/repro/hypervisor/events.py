@@ -35,10 +35,15 @@ class Channel:
 
 
 class EventChannelTable:
-    """Hypervisor-wide event channel state, keyed by (domid, port)."""
+    """Hypervisor-wide event channel state, one port table per domain.
+
+    As in Xen, each domain owns its event-channel buckets (owner domid →
+    port → channel), so tearing a domain down touches only its own ports.
+    Other modules read the tables through :meth:`channel` and :meth:`items`.
+    """
 
     def __init__(self):
-        self._channels: typing.Dict[typing.Tuple[int, int], Channel] = {}
+        self._channels: typing.Dict[int, typing.Dict[int, Channel]] = {}
         self._next_port: typing.Dict[int, int] = {}
         #: Total notifications sent, for the software-interrupt accounting.
         self.total_notifications = 0
@@ -51,7 +56,7 @@ class EventChannelTable:
     def channel(self, domid: int, port: int) -> Channel:
         """Look up a channel; raises if it does not exist."""
         try:
-            return self._channels[(domid, port)]
+            return self._channels[domid][port]
         except KeyError:
             raise EventChannelError(
                 "no channel (domid=%d, port=%d)" % (domid, port)) from None
@@ -62,7 +67,7 @@ class EventChannelTable:
         port = self._alloc_port(owner_domid)
         channel = Channel(port, owner_domid)
         channel.remote_domid = remote_domid
-        self._channels[(owner_domid, port)] = channel
+        self._channels.setdefault(owner_domid, {})[port] = channel
         return port
 
     def bind_interdomain(self, domid: int, remote_domid: int,
@@ -81,7 +86,7 @@ class EventChannelTable:
         local.state = remote.state = "interdomain"
         local.remote_domid, local.remote_port = remote_domid, remote_port
         remote.remote_domid, remote.remote_port = domid, port
-        self._channels[(domid, port)] = local
+        self._channels.setdefault(domid, {})[port] = local
         return port
 
     def notify(self, domid: int, port: int) -> None:
@@ -104,21 +109,31 @@ class EventChannelTable:
         """EVTCHNOP_close: tear down both ends."""
         channel = self.channel(domid, port)
         if channel.state == "interdomain":
-            peer_key = (channel.remote_domid, channel.remote_port)
-            peer = self._channels.get(peer_key)
+            peer = self._channels.get(channel.remote_domid, {}).get(
+                channel.remote_port)
             if peer is not None:
                 peer.state = "closed"
         channel.state = "closed"
-        del self._channels[(domid, port)]
+        del self._channels[domid][port]
 
     def close_all_for(self, domid: int) -> int:
         """Close every channel owned by ``domid``; returns the count."""
-        ports = [port for (owner, port) in self._channels
-                 if owner == domid]
+        ports = list(self._channels.get(domid, ()))
         for port in ports:
             self.close(domid, port)
+        self._channels.pop(domid, None)
         return len(ports)
 
     def count_for(self, domid: int) -> int:
         """Number of open channels owned by ``domid``."""
-        return sum(1 for (owner, _p) in self._channels if owner == domid)
+        return len(self._channels.get(domid, ()))
+
+    def items(self) -> typing.List[typing.Tuple[typing.Tuple[int, int],
+                                                Channel]]:
+        """Every channel as ``((owner, port), channel)``, in key order."""
+        result = []
+        for owner in sorted(self._channels):
+            channels = self._channels[owner]
+            for port in sorted(channels):
+                result.append(((owner, port), channels[port]))
+        return result

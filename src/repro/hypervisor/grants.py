@@ -36,10 +36,15 @@ class GrantEntry:
 
 
 class GrantTable:
-    """All grant entries on the host, keyed by (granter domid, ref)."""
+    """All grant entries on the host, one table per granting domain.
+
+    As in Xen, each domain owns its grant table (granter domid → ref →
+    entry), so tearing a domain down touches only the entries it issued.
+    Other modules read the tables through :meth:`entry` and :meth:`items`.
+    """
 
     def __init__(self, faults=None, sim=None):
-        self._entries: typing.Dict[typing.Tuple[int, int], GrantEntry] = {}
+        self._entries: typing.Dict[int, typing.Dict[int, GrantEntry]] = {}
         self._next_ref: typing.Dict[int, int] = {}
         #: Injector for the ``hypervisor.grant_map`` fault point.
         self.faults = faults if faults is not None else NULL_INJECTOR
@@ -50,7 +55,7 @@ class GrantTable:
     def entry(self, granter_domid: int, ref: int) -> GrantEntry:
         """Look up an entry; raises on a dangling reference."""
         try:
-            return self._entries[(granter_domid, ref)]
+            return self._entries[granter_domid][ref]
         except KeyError:
             raise GrantError("no grant (domid=%d, ref=%d)"
                              % (granter_domid, ref)) from None
@@ -69,7 +74,7 @@ class GrantTable:
                 % granter_domid)
         ref = self._next_ref.get(granter_domid, 1)
         self._next_ref[granter_domid] = ref + 1
-        self._entries[(granter_domid, ref)] = GrantEntry(
+        self._entries.setdefault(granter_domid, {})[ref] = GrantEntry(
             ref, granter_domid, grantee_domid, frame, readonly)
         tracer_of(self.sim).instant("grant.access", granter=granter_domid,
                                     grantee=grantee_domid)
@@ -105,23 +110,36 @@ class GrantTable:
         if entry.mapped_by is not None:
             raise GrantError("grant %d still mapped by domain %d"
                              % (ref, entry.mapped_by))
-        del self._entries[(granter_domid, ref)]
+        del self._entries[granter_domid][ref]
 
     def revoke_all_for(self, domid: int, force: bool = False) -> int:
         """Drop every grant issued by ``domid`` (domain teardown).
 
         With ``force`` the entries are removed even if mapped, mirroring
-        how Xen handles a dying domain.  Returns the number revoked.
+        how Xen handles a dying domain.  Without it, entries go in issue
+        order until a mapped one raises, leaving it and the rest in place.
+        Returns the number revoked.
         """
-        refs = [(granter, ref) for (granter, ref), entry
-                in self._entries.items() if granter == domid]
-        for granter, ref in refs:
-            entry = self._entries[(granter, ref)]
-            if entry.mapped_by is not None and not force:
-                raise GrantError("grant %d still mapped" % ref)
-            del self._entries[(granter, ref)]
-        return len(refs)
+        entries = self._entries.get(domid, {})
+        count = len(entries)
+        if not force:
+            for ref, entry in list(entries.items()):
+                if entry.mapped_by is not None:
+                    raise GrantError("grant %d still mapped" % ref)
+                del entries[ref]
+        self._entries.pop(domid, None)
+        return count
 
     def count_for(self, domid: int) -> int:
         """Number of active grants issued by ``domid``."""
-        return sum(1 for (granter, _r) in self._entries if granter == domid)
+        return len(self._entries.get(domid, ()))
+
+    def items(self) -> typing.List[typing.Tuple[typing.Tuple[int, int],
+                                                GrantEntry]]:
+        """Every entry as ``((granter domid, ref), entry)``, in key order."""
+        result = []
+        for granter in sorted(self._entries):
+            entries = self._entries[granter]
+            for ref in sorted(entries):
+                result.append(((granter, ref), entries[ref]))
+        return result

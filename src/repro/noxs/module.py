@@ -21,6 +21,7 @@ from ..faults.plan import GrantMapFailure
 from ..faults.retry import RetryPolicy
 from ..hypervisor.devicepage import DEV_SYSCTL, DEV_VBD, DEV_VIF, DeviceEntry
 from ..hypervisor.domain import Domain
+from ..hypervisor.grants import GrantError
 from ..hypervisor.hypervisor import DOM0_ID, Hypervisor
 from ..hypervisor.rings import RingPair
 from ..trace.tracer import tracer_of
@@ -138,9 +139,11 @@ class NoxsModule:
     def _ioctl_destroy(self, domain: Domain, entry):
         yield self.sim.timeout(self.costs.ioctl_us / 1000.0)
         # Force-revoke the control-page grant: the guest may be gone.
-        grant = self.hypervisor.grants._entries.get(
-            (DOM0_ID, entry.grant_ref))
-        if grant is not None:
+        try:
+            grant = self.hypervisor.grants.entry(DOM0_ID, entry.grant_ref)
+        except GrantError:
+            pass  # already revoked
+        else:
             self.control_pages.pop(grant.frame, None)
             self.rings.pop(grant.frame, None)
             grant.mapped_by = None

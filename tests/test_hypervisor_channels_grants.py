@@ -1,5 +1,8 @@
 """Tests for event channels and grant tables."""
 
+import statistics
+import time
+
 import pytest
 
 from repro.hypervisor import (EventChannelError, EventChannelTable,
@@ -117,7 +120,50 @@ class TestGrantTable:
 
     def test_revoke_all_unforced_fails_when_mapped(self):
         grants = GrantTable()
-        ref = grants.grant_access(5, grantee_domid=0, frame=1)
-        grants.map_ref(0, 5, ref)
+        refs = [grants.grant_access(5, grantee_domid=0, frame=frame)
+                for frame in range(4)]
+        grants.map_ref(0, 5, refs[2])
         with pytest.raises(GrantError):
             grants.revoke_all_for(5)
+        # Grants issued before the mapped one are gone; it and later stay.
+        assert [ref for (_granter, ref), _entry in grants.items()] \
+            == refs[2:]
+
+
+def _teardown_s(channels, grants, domids):
+    """Seconds to tear down ``domids``, each owning one channel and one
+    grant, the way ``Hypervisor.domctl_destroy`` does."""
+    for domid in domids:
+        channels.alloc_unbound(domid, 0)
+        grants.grant_access(domid, 0, frame=domid)
+    start = time.perf_counter()
+    for domid in domids:
+        channels.close_all_for(domid)
+        grants.revoke_all_for(domid, force=True)
+    return time.perf_counter() - start
+
+
+class TestTeardownScope:
+    def test_teardown_cost_ignores_other_domains_entries(self):
+        """A destroy walks only the dying domain's entries: beside 20,000
+        foreign channels and grants (dom0's, as a shell pool leaves them)
+        it costs what it costs beside 20.  Medians of interleaved
+        repetitions, compared within one run."""
+        tables = {}
+        for foreign in (20, 20000):
+            channels, grants = EventChannelTable(), GrantTable()
+            for index in range(foreign):
+                shell = 1000 + index
+                channels.alloc_unbound(0, shell)
+                grants.grant_access(0, shell, frame=index)
+            tables[foreign] = channels, grants
+        samples = {20: [], 20000: []}
+        domids = range(100, 150)
+        for rep in range(21):
+            for foreign in ((20, 20000) if rep % 2 else (20000, 20)):
+                samples[foreign].append(
+                    _teardown_s(*tables[foreign], domids))
+        ratio = (statistics.median(samples[20000])
+                 / statistics.median(samples[20]))
+        assert ratio <= 3.0, "teardown beside 20,000 entries is %.1fx " \
+            "slower than beside 20" % ratio
