@@ -99,6 +99,8 @@ class EventTrace:
     def __init__(self):
         self._hash = hashlib.sha256()
         self.events = 0
+        #: Event class -> encoded ``|<Type>|True|None`` line tail.
+        self._tails: typing.Dict[type, bytes] = {}
 
     def attach(self, sim: Simulator) -> "EventTrace":
         sim.trace = self
@@ -107,6 +109,19 @@ class EventTrace:
     def record(self, when: float, event: object) -> None:
         ok = getattr(event, "_ok", None)
         value = getattr(event, "_value", None)
+        if ok is True and value is None:
+            # Most events succeed without a payload: their line is the
+            # time plus a tail fixed per class, the same bytes the general
+            # path below writes, without formatting or ``canonical``.
+            cls = type(event)
+            tail = self._tails.get(cls)
+            if tail is None:
+                tail = ("|%s|True|None\n" % cls.__name__).encode(
+                    "utf-8", "backslashreplace")
+                self._tails[cls] = tail
+            self._hash.update(when.hex().encode() + tail)
+            self.events += 1
+            return
         line = "%s|%s|%s|%s\n" % (when.hex(), type(event).__name__,
                                   ok, canonical(value))
         self._hash.update(line.encode("utf-8", "backslashreplace"))

@@ -27,8 +27,11 @@ VERSION = 1
 _HEADER_FMT = "<IHH8x"
 _HEADER_SIZE = struct.calcsize(_HEADER_FMT)
 _ENTRY_FMT = "<BBHII6s14x"
-_ENTRY_SIZE = struct.calcsize(_ENTRY_FMT)
+_ENTRY = struct.Struct(_ENTRY_FMT)
+_ENTRY_SIZE = _ENTRY.size
 MAX_ENTRIES = (PAGE_SIZE - _HEADER_SIZE) // _ENTRY_SIZE
+#: End of the slot area; the page's last 16 bytes are padding, not a slot.
+_SLOTS_END = _HEADER_SIZE + MAX_ENTRIES * _ENTRY_SIZE
 
 #: Device type codes stored in the page.
 DEV_NONE = 0
@@ -47,6 +50,16 @@ class DevicePageError(RuntimeError):
     """Malformed page access (bad index, full page, bad magic...)."""
 
 
+def _slot_types(page: typing.Union[bytes, bytearray, memoryview]) -> bytes:
+    """The slots' type bytes, one per slot, trailing empty slots stripped.
+
+    One strided slice reads the first byte of every 32-byte slot, so a
+    page's live slots are found without a Python loop over all of them.
+    ``bytes()`` first: a strided ``memoryview`` slice has no ``rstrip``.
+    """
+    return bytes(page[_HEADER_SIZE:_SLOTS_END:_ENTRY_SIZE]).rstrip(b"\0")
+
+
 class DeviceEntry(typing.NamedTuple):
     """One decoded device record."""
 
@@ -61,14 +74,13 @@ class DeviceEntry(typing.NamedTuple):
         """Encode to the 32-byte on-page format."""
         if len(self.mac) != 6:
             raise DevicePageError("mac must be exactly 6 bytes")
-        return struct.pack(_ENTRY_FMT, self.dev_type, self.state,
-                           self.backend_domid, self.evtchn_port,
-                           self.grant_ref, self.mac)
+        return _ENTRY.pack(self.dev_type, self.state, self.backend_domid,
+                           self.evtchn_port, self.grant_ref, self.mac)
 
     @classmethod
     def unpack(cls, raw: bytes) -> "DeviceEntry":
         """Decode from the 32-byte on-page format."""
-        return cls(*struct.unpack(_ENTRY_FMT, raw))
+        return cls._make(_ENTRY.unpack(raw))
 
 
 class DevicePage:
@@ -101,21 +113,21 @@ class DevicePage:
         return _HEADER_SIZE + index * _ENTRY_SIZE
 
     def add(self, entry: DeviceEntry) -> int:
-        """Append a device entry; returns its index."""
-        for index in range(MAX_ENTRIES):
-            offset = self._offset(index)
-            if self._buf[offset] == DEV_NONE:
-                self._buf[offset:offset + _ENTRY_SIZE] = entry.pack()
-                self._set_count(self.count + 1)
-                self.writes += 1
-                return index
-        raise DevicePageError("device page full (%d entries)" % MAX_ENTRIES)
+        """Store a device entry in the first free slot; returns its index."""
+        index = self._buf[_HEADER_SIZE:_SLOTS_END:_ENTRY_SIZE].find(DEV_NONE)
+        if index < 0:
+            raise DevicePageError(
+                "device page full (%d entries)" % MAX_ENTRIES)
+        offset = _HEADER_SIZE + index * _ENTRY_SIZE
+        self._buf[offset:offset + _ENTRY_SIZE] = entry.pack()
+        self._set_count(self.count + 1)
+        self.writes += 1
+        return index
 
     def read(self, index: int) -> DeviceEntry:
         """Decode the entry at ``index``."""
-        offset = self._offset(index)
-        entry = DeviceEntry.unpack(bytes(self._buf[offset:offset +
-                                                   _ENTRY_SIZE]))
+        entry = DeviceEntry._make(
+            _ENTRY.unpack_from(self._buf, self._offset(index)))
         if entry.dev_type == DEV_NONE:
             raise DevicePageError("entry %d is empty" % index)
         return entry
@@ -137,11 +149,10 @@ class DevicePage:
     def entries(self) -> typing.List[typing.Tuple[int, DeviceEntry]]:
         """All live entries as ``(index, entry)`` pairs."""
         found = []
-        for index in range(MAX_ENTRIES):
-            offset = self._offset(index)
-            if self._buf[offset] != DEV_NONE:
-                found.append((index, DeviceEntry.unpack(
-                    bytes(self._buf[offset:offset + _ENTRY_SIZE]))))
+        for index, dev_type in enumerate(_slot_types(self._buf)):
+            if dev_type != DEV_NONE:
+                found.append((index, DeviceEntry._make(_ENTRY.unpack_from(
+                    self._buf, _HEADER_SIZE + index * _ENTRY_SIZE))))
         return found
 
     def readonly_view(self) -> bytes:
@@ -150,7 +161,12 @@ class DevicePage:
 
     @staticmethod
     def parse(view: bytes) -> typing.List[DeviceEntry]:
-        """Guest-side parser: decode all live entries from a mapped page."""
+        """Guest-side parser: decode all live entries from a mapped page.
+
+        The page is guest input, so its length, magic, version and header
+        count are checked, in that order.  ``view`` may be ``bytes``,
+        ``bytearray`` or a ``memoryview``.
+        """
         if len(view) != PAGE_SIZE:
             raise DevicePageError("device page must be %d bytes" % PAGE_SIZE)
         magic, version, count = struct.unpack_from(_HEADER_FMT, view, 0)
@@ -159,11 +175,10 @@ class DevicePage:
         if version != VERSION:
             raise DevicePageError("unsupported version %d" % version)
         entries = []
-        for index in range(MAX_ENTRIES):
-            offset = _HEADER_SIZE + index * _ENTRY_SIZE
-            if view[offset] != DEV_NONE:
-                entries.append(DeviceEntry.unpack(
-                    view[offset:offset + _ENTRY_SIZE]))
+        for index, dev_type in enumerate(_slot_types(view)):
+            if dev_type != DEV_NONE:
+                entries.append(DeviceEntry._make(_ENTRY.unpack_from(
+                    view, _HEADER_SIZE + index * _ENTRY_SIZE)))
         if len(entries) != count:
             raise DevicePageError(
                 "header count %d does not match %d live entries"

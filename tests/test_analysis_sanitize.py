@@ -1,6 +1,10 @@
 """Tests for the runtime sanitizers and the dual-run digest checker."""
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import (EventTrace, ReplayDivergence, Sanitizer,
                             SanitizerViolation, assert_replay_identical,
@@ -85,6 +89,115 @@ class TestEventTrace:
             return trace.digest()
 
         assert run("a") != run("b")
+
+
+class ReferenceTrace:
+    """``EventTrace.record`` as it was before payload-free lines took a
+    cached tail: every line formatted in full through ``canonical``."""
+
+    def __init__(self):
+        self._hash = hashlib.sha256()
+        self.events = 0
+
+    def record(self, when, event):
+        ok = getattr(event, "_ok", None)
+        value = getattr(event, "_value", None)
+        line = "%s|%s|%s|%s\n" % (when.hex(), type(event).__name__,
+                                  ok, canonical(value))
+        self._hash.update(line.encode("utf-8", "backslashreplace"))
+        self.events += 1
+
+    def digest(self):
+        return self._hash.hexdigest()
+
+
+class _StandIn:
+    """A processed event as the digest sees it: ``_ok`` and ``_value``."""
+
+    __slots__ = ("_ok", "_value")
+
+    def __init__(self, ok=True, value=None):
+        self._ok = ok
+        self._value = value
+
+
+#: Stand-in event classes by name; the last name is not ASCII.
+STAND_INS = {name: type(name, (_StandIn,), {"__slots__": ()})
+             for name in ("Timeout", "Event", "Process", "Condition",
+                          "\u00cbvent")}
+
+
+class _Bare:
+    """An object with no ``_ok``/``_value``: its line reads ``|None|None``
+    and must not take the cached tail."""
+
+
+BARE = [type(name, (_Bare,), {}) for name in ("Timeout", "Request")]
+
+
+class _Payload:
+    pass
+
+
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
+    st.binary(max_size=6), st.just("\udc80"),
+    st.builds(lambda cls, args: cls(*args),
+              st.sampled_from([ValueError, KeyError, RuntimeError]),
+              st.lists(st.one_of(st.integers(), st.text(max_size=4)),
+                       max_size=2)),
+    st.builds(object), st.builds(_Payload))
+payloads = st.recursive(
+    _scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.one_of(st.integers(), st.text(max_size=3)),
+                        children, max_size=3)),
+    max_leaves=10)
+stand_in_events = st.one_of(
+    st.builds(lambda name, ok, value: STAND_INS[name](ok, value),
+              st.sampled_from(sorted(STAND_INS)),
+              st.sampled_from([True, False, None]),
+              st.one_of(st.none(), payloads)),
+    st.builds(lambda cls: cls(), st.sampled_from(BARE)))
+
+
+def _record_all(trace, stream):
+    for when, event in stream:
+        trace.record(when, event)
+    return trace
+
+
+class TestEventTraceRecord:
+    @given(st.lists(st.tuples(st.floats(), stand_in_events), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, stream):
+        trace = _record_all(EventTrace(), stream)
+        reference = _record_all(ReferenceTrace(), stream)
+        assert trace.digest() == reference.digest()
+        assert trace.events == reference.events == len(stream)
+        assert not any(issubclass(cls, _Bare) for cls in trace._tails)
+
+    def test_digest_line_format_is_pinned(self):
+        # The digest of a fixed stream, computed before payload-free
+        # lines took a cached tail.  Every pinned run digest rests on
+        # these bytes.
+        stream = [
+            (0.0, STAND_INS["Timeout"]()),
+            (0.5, STAND_INS["Event"]()),
+            (0.5, STAND_INS["Process"](False, ValueError("boom", 3))),
+            (1.25, STAND_INS["Timeout"](True, 0.1)),
+            (2.0, STAND_INS["Event"](True, ("req", 1, 2, 3, (4, 0.5)))),
+            (2.0, STAND_INS["Condition"](True, {"a": 1, 2: [None, b"x"]})),
+            (3.0, STAND_INS["Process"](True, _Payload())),
+            (3.0, BARE[0]()),
+            (7.5, STAND_INS["Timeout"]()),
+        ]
+        trace = _record_all(EventTrace(), stream)
+        assert trace.events == len(stream)
+        assert trace.digest() == (
+            "49e86b176db5d41b907310f97786201374c100e997c0c2af0dc5f89771cdc8c4")
 
 
 class TestSanitizerDoubleTrigger:
