@@ -56,6 +56,10 @@ class ReplayDivergence(AssertionError):
 # Canonical payload encoding (address-free, replay-stable)
 # ----------------------------------------------------------------------
 
+#: Exact types whose ``repr`` is their canonical text.
+_REPR_TYPES = frozenset((type(None), bool, int, str, bytes))
+
+
 def canonical(value: object, depth: int = 0) -> str:
     """Encode ``value`` for digesting, stable across processes.
 
@@ -65,17 +69,40 @@ def canonical(value: object, depth: int = 0) -> str:
     everything else collapses to its type name, which still pins the
     *shape* of the timeline (what fired, when, in which order) without
     smuggling in address entropy.
+
+    An exact scalar is encoded straight from a type-identity test, and
+    so is an exact-scalar item of a list or tuple (a cross-host message
+    token is one), in line rather than by a recursive call; every other
+    value, subclasses included, takes the ``isinstance`` chain.  Both
+    give the same text.
     """
     if depth > 4:
         return "..."
-    if value is None or isinstance(value, (bool, int, str, bytes)):
+    cls = type(value)
+    if cls is float:
+        return value.hex()
+    if cls in _REPR_TYPES:
+        return repr(value)
+    if isinstance(value, (list, tuple)):
+        if depth < 4:
+            parts = []
+            for item in value:
+                kind = type(item)
+                if kind is float:
+                    parts.append(item.hex())
+                elif kind in _REPR_TYPES:
+                    parts.append(repr(item))
+                else:
+                    parts.append(canonical(item, depth + 1))
+        else:
+            parts = ["..."] * len(value)  # every item is past the cap
+        if isinstance(value, list):
+            return "[" + ",".join(parts) + "]"
+        return "(" + ",".join(parts) + ")"
+    if isinstance(value, (int, str, bytes)):
         return repr(value)
     if isinstance(value, float):
         return value.hex()  # exact bits, not shortest-repr rounding
-    if isinstance(value, (list, tuple)):
-        open_, close = ("[", "]") if isinstance(value, list) else ("(", ")")
-        return open_ + ",".join(canonical(v, depth + 1)
-                                for v in value) + close
     if isinstance(value, dict):
         return "{" + ",".join(
             "%s:%s" % (canonical(k, depth + 1), canonical(v, depth + 1))

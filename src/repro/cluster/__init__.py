@@ -5,8 +5,9 @@ hosts whose DES engines advance independently between deterministic
 epoch barriers (conservative parallel DES: the epoch length is the
 lookahead, bounded by the minimum cross-host message latency).  Two
 execution backends sit behind one API — ``backend="inline"`` (single
-process, the semantic reference) and ``backend="procs"`` (one OS process
-per worker) — and are required to produce byte-identical cluster
+process, the semantic reference) and ``backend="procs"`` (``workers=N``
+is the coordinator, stepping one share of the hosts itself, plus N-1
+child processes) — and are required to produce byte-identical cluster
 digests; DESIGN.md's "Epoch-barrier determinism contract" section holds
 the full argument.
 

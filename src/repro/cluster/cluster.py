@@ -20,8 +20,9 @@ livelock guard (``config.max_epochs``) bounds broken scenarios.
 Backends implement ``run_epoch(epoch, window_end, batches)``,
 ``finish()`` and ``close()``: :class:`InlineBackend` here (single
 process, the semantic reference) and ``ProcsBackend`` in
-:mod:`repro.cluster.procs` (hosts spread over a
-:class:`~repro.pool.WorkerPool`; a failed worker ends the run with a
+:mod:`repro.cluster.procs` (hosts dealt into ``workers=N`` shares:
+share 0 stepped in this process, shares 1..N-1 in the children of a
+:class:`~repro.pool.WorkerPool`; a failed child ends the run with a
 :class:`ClusterError` naming its hosts).  The merged
 timeline is a pure function of the config; the backend and worker count
 must not change a single digest byte — ``tests/test_cluster_digest.py``

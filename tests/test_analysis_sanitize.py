@@ -1,9 +1,11 @@
 """Tests for the runtime sanitizers and the dual-run digest checker."""
 
+import enum
 import hashlib
+import typing
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import (EventTrace, ReplayDivergence, Sanitizer,
@@ -42,6 +44,93 @@ class TestCanonical:
         for _ in range(10):
             nested = [nested]
         assert "..." in canonical(nested)
+
+
+def reference_canonical(value: object, depth: int = 0) -> str:
+    """``canonical`` as it was before exact types skipped the
+    ``isinstance`` chain, copied with only its name changed."""
+    if depth > 4:
+        return "..."
+    if value is None or isinstance(value, (bool, int, str, bytes)):
+        return repr(value)
+    if isinstance(value, float):
+        return value.hex()  # exact bits, not shortest-repr rounding
+    if isinstance(value, (list, tuple)):
+        open_, close = ("[", "]") if isinstance(value, list) else ("(", ")")
+        return open_ + ",".join(reference_canonical(v, depth + 1)
+                                for v in value) + close
+    if isinstance(value, dict):
+        return "{" + ",".join(
+            "%s:%s" % (reference_canonical(k, depth + 1),
+                       reference_canonical(v, depth + 1))
+            for k, v in value.items()) + "}"
+    if isinstance(value, BaseException):
+        return "%s(%s)" % (type(value).__name__,
+                           ",".join(reference_canonical(a, depth + 1)
+                                    for a in value.args))
+    return "<%s>" % type(value).__name__
+
+
+class _Colour(enum.IntEnum):
+    RED = 1
+    BLUE = 2
+
+
+class _Tag(str):
+    """A ``str`` subclass whose ``repr`` is not ``str``'s."""
+
+    def __repr__(self):
+        return "Tag<%s>" % str(self)
+
+
+class _Point(typing.NamedTuple):
+    x: object
+    y: object
+
+
+class _Pair(tuple):
+    pass
+
+
+class _Items(list):
+    pass
+
+
+class _Opaque:
+    pass
+
+
+_exact_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=6),
+    st.binary(max_size=6), st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]))
+_other_leaves = st.one_of(
+    st.sampled_from(list(_Colour)), st.text(max_size=4).map(_Tag),
+    st.builds(object), st.builds(_Opaque))
+canonical_values = st.recursive(
+    st.one_of(_exact_leaves, _other_leaves),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(children, max_size=3).map(_Pair),
+        st.lists(children, max_size=3).map(_Items),
+        st.builds(_Point, children, children),
+        st.dictionaries(st.one_of(st.integers(), st.text(max_size=3),
+                                  st.sampled_from(list(_Colour))),
+                        children, max_size=3),
+        st.builds(lambda cls, args: cls(*args),
+                  st.sampled_from([ValueError, KeyError, RuntimeError]),
+                  st.lists(children, max_size=2))),
+    max_leaves=24)
+
+
+@given(canonical_values, st.integers(min_value=0, max_value=6))
+@example([_Tag("y"), (_Colour.RED, -0.0, float("nan"))], 0)
+@example(_Point(_Pair((1, "a")), KeyError(b"\x00")), 3)
+@example(("req", 1, -1, 2, (3, 0.5)), 4)
+@settings(max_examples=400, deadline=None)
+def test_canonical_matches_reference(value, depth):
+    assert canonical(value, depth) == reference_canonical(value, depth)
 
 
 class TestEventTrace:
@@ -93,7 +182,8 @@ class TestEventTrace:
 
 class ReferenceTrace:
     """``EventTrace.record`` as it was before payload-free lines took a
-    cached tail: every line formatted in full through ``canonical``."""
+    cached tail: every line formatted in full through the reference
+    ``canonical``."""
 
     def __init__(self):
         self._hash = hashlib.sha256()
@@ -103,7 +193,7 @@ class ReferenceTrace:
         ok = getattr(event, "_ok", None)
         value = getattr(event, "_value", None)
         line = "%s|%s|%s|%s\n" % (when.hex(), type(event).__name__,
-                                  ok, canonical(value))
+                                  ok, reference_canonical(value))
         self._hash.update(line.encode("utf-8", "backslashreplace"))
         self.events += 1
 
@@ -198,6 +288,32 @@ class TestEventTraceRecord:
         assert trace.events == len(stream)
         assert trace.digest() == (
             "49e86b176db5d41b907310f97786201374c100e997c0c2af0dc5f89771cdc8c4")
+
+    def test_message_token_digest_is_pinned(self):
+        # Cross-host message tokens, (kind, epoch, src, seq, payload), as
+        # HostNode.deliver records them (src -1 is the controller); the
+        # digest was computed before exact types skipped the isinstance
+        # chain.  Every pinned cluster digest rests on these bytes.
+        tokens = [
+            ("create", 0, -1, 0, (7,)),
+            ("up", 1, -1, 1, (7, 3)),
+            ("req", 2, 3, 0, (7, 2.0500000000000003)),
+            ("rsp", 3, 7, 4, (2.05, 1)),
+            ("mig_in", 4, 3, 1, (7, 65536)),
+            ("req", 5, 0, 12, (7, -0.0)),
+            ("rsp", 6, 2, 3, (float("inf"), 0)),
+            ("nested", 7, 1, 2, ((1, (2.5, "x")), [None, True], b"\x00")),
+            ("deep", 8, -1, 5, ((((1, 0.5),),),)),
+            ("empty", 9, 4, 6, ()),
+        ]
+        stream = []
+        for index, token in enumerate(tokens):
+            stream.append((0.25 * index, STAND_INS["Event"](True, token)))
+            stream.append((0.25 * index, STAND_INS["Timeout"]()))
+        trace = _record_all(EventTrace(), stream)
+        assert trace.events == len(stream)
+        assert trace.digest() == (
+            "05cfdf228149d57f726846df11c4c7434b1bbe94eb2af25e1a0b73d8eeb4a0b8")
 
 
 class TestSanitizerDoubleTrigger:
