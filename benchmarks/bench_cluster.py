@@ -20,7 +20,6 @@ Two things are checked here, with very different portability:
   to the gate, which CI runs on known hardware.
 """
 
-import dataclasses
 import time
 
 import pytest
@@ -39,11 +38,13 @@ REQUEST_GAP_MS = 0.25
 
 
 def _config():
-    config = preset("boot-storm", hosts=HOSTS, guests=GUESTS,
-                    requests=REQUESTS).to_cluster_config(0)
-    return dataclasses.replace(config, epoch_ms=EPOCH_MS,
-                               net_latency_ms=EPOCH_MS,
-                               request_gap_ms=REQUEST_GAP_MS)
+    return preset("boot-storm", hosts=HOSTS, guests=GUESTS,
+                  requests=REQUESTS,
+                  topology={"ref": "lan@1", "epoch_ms": EPOCH_MS,
+                            "net_latency_ms": EPOCH_MS},
+                  traffic={"ref": "boot-storm@1",
+                           "request_gap_ms": REQUEST_GAP_MS}
+                  ).to_cluster_config(0)
 
 
 def _timed_run(backend, workers=None):

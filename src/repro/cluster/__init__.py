@@ -12,7 +12,9 @@ digests; DESIGN.md's "Epoch-barrier determinism contract" section holds
 the full argument.
 
 Scenarios are described by cluster-mode specs and run through
-``repro run``; from Python, lower a spec onto a config and run it::
+``repro run``.  A :class:`ClusterConfig` is such a spec plus a seed, and
+every node builds its host from the spec's components, as a single-host
+run does.  From Python::
 
     from repro.cluster import Cluster
     from repro.stdlib import preset

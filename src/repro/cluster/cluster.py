@@ -15,7 +15,7 @@ one epoch — is:
 
 The run terminates when the controller has nothing left to issue, no
 message is pending, and every host reports zero outstanding work; the
-livelock guard (``config.max_epochs``) bounds broken scenarios.
+livelock guard (:data:`MAX_EPOCHS`) bounds broken scenarios.
 
 Backends implement ``run_epoch(epoch, window_end, batches)``,
 ``finish()`` and ``close()``: :class:`InlineBackend` here (single
@@ -42,6 +42,10 @@ from .node import HostNode, run_nodes
 
 BACKENDS = ("inline", "procs")
 
+#: Livelock guard: a run that has not quiesced after this many epochs
+#: raises instead of spinning forever.
+MAX_EPOCHS = 200000
+
 
 class ClusterError(RuntimeError):
     """A cluster run that cannot proceed (livelock, dead worker, ...)."""
@@ -55,7 +59,7 @@ class InlineBackend:
 
     def __init__(self, config: ClusterConfig):
         self.nodes = [HostNode(config, host)
-                      for host in range(config.hosts)]
+                      for host in range(config.spec.hosts)]
 
     def run_epoch(self, epoch: int, window_end: float,
                   batches: typing.Dict[int, list]
@@ -89,14 +93,13 @@ class Cluster:
 
     def __init__(self, config: ClusterConfig, backend: str = "inline",
                  workers: typing.Optional[int] = None):
-        config.validate()
         if backend not in BACKENDS:
             raise ClusterConfigError(
                 "unknown backend %r; expected one of %s"
                 % (backend, ", ".join(BACKENDS)))
         self.config = config
         self.backend_name = backend
-        self.workers = config.hosts if workers is None else workers
+        self.workers = config.spec.hosts if workers is None else workers
 
     def _make_backend(self):
         if self.backend_name == "inline":
@@ -108,12 +111,12 @@ class Cluster:
         config = self.config
         controller = Controller(config)
         backend = self._make_backend()
-        epoch_ms = config.epoch_ms
+        epoch_ms = config.spec.topology.epoch_ms
         try:
             pending = list(controller.barrier(-1, 0.0, []))
             epoch = 0
             while True:
-                if epoch >= config.max_epochs:
+                if epoch >= MAX_EPOCHS:
                     raise ClusterError(
                         "no quiescence after %d epochs (sim time %.1f ms):"
                         " livelocked scenario or lost completion report"

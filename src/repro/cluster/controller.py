@@ -28,16 +28,16 @@ class Controller:
     """Barrier-driven placement / migration / directory authority."""
 
     def __init__(self, config: ClusterConfig):
-        self.config = config
-        spec = config.host_spec()
-        image = config.guest_image()
+        spec = self.spec = config.spec
+        machine = spec.host.host_spec()
+        image = spec.guest.build()
         # Memory-derived capacity: what the host can hold beyond dom0 and
         # the pre-provisioned shell pool.
-        free_kb = (spec.memory_kb - spec.dom0_memory_kb
+        free_kb = (machine.memory_kb - machine.dom0_memory_kb
                    - config.pool_target() * image.memory_kb)
         capacity = max(1, free_kb // image.memory_kb)
-        self.placement = Placement(config.hosts, capacity,
-                                   policy=config.placement)
+        self.placement = Placement(spec.hosts, capacity,
+                                   policy=spec.placement.policy)
         self._create_start = config.create_start()
         self._next_gid = 0
         self._seq = 0
@@ -48,8 +48,8 @@ class Controller:
         self.directory: typing.Dict[int, int] = {}
         #: Booted gids per host, in completion-report order.
         self._by_host: typing.List[typing.List[int]] = [
-            [] for _ in range(config.hosts)]
-        self._migrations_left = config.migrations
+            [] for _ in range(spec.hosts)]
+        self._migrations_left = spec.migrations
         self._migrating: typing.Optional[tuple] = None
         #: Controller-exclusive tallies; per-host boot/request counters
         #: live on the nodes and are merged by :class:`Cluster` (the key
@@ -62,14 +62,15 @@ class Controller:
     @property
     def done(self) -> bool:
         """No commands left to issue and none awaiting completion."""
-        return (self._next_gid >= self.config.guests
+        return (self._next_gid >= self.spec.guests
                 and self._outstanding_creates == 0
                 and self._migrating is None
                 and self._migrations_left == 0)
 
     def _t(self, gid: int) -> float:
         """The ramp: guest ``gid``'s exact create-arrival instant."""
-        return self._create_start + gid * self.config.create_spacing_ms
+        return self._create_start + \
+            gid * self.spec.traffic.create_spacing_ms
 
     def _emit(self, epoch: int, barrier_ms: float, dst: int, kind: str,
               payload: tuple, arrive_ms: float) -> ClusterMessage:
@@ -137,8 +138,8 @@ class Controller:
     def _broadcast_up(self, gid: int, owner: int, epoch: int,
                       barrier_ms: float,
                       out: typing.List[ClusterMessage]) -> None:
-        arrive = barrier_ms + self.config.net_latency_ms
-        for host in range(self.config.hosts):
+        arrive = barrier_ms + self.spec.topology.net_latency_ms
+        for host in range(self.spec.hosts):
             out.append(self._emit(epoch, barrier_ms, host, "up",
                                   (gid, owner), arrive))
 
@@ -148,8 +149,8 @@ class Controller:
         # The next window's end, computed as Cluster.run computes it: a
         # float barrier_ms + epoch_ms can round below it and strand a
         # create in a window whose hosts have already passed it.
-        cutoff = (epoch + 2) * self.config.epoch_ms
-        while self._next_gid < self.config.guests and \
+        cutoff = (epoch + 2) * self.spec.topology.epoch_ms
+        while self._next_gid < self.spec.guests and \
                 self._t(self._next_gid) < cutoff:
             gid = self._next_gid
             self._next_gid += 1
@@ -165,7 +166,7 @@ class Controller:
     def _issue_migration(self, epoch: int, barrier_ms: float,
                          out: typing.List[ClusterMessage]) -> None:
         if (self._migrations_left <= 0 or self._migrating is not None
-                or self._next_gid < self.config.guests
+                or self._next_gid < self.spec.guests
                 or self._outstanding_creates > 0):
             return
         src = self._most_loaded()
@@ -182,11 +183,11 @@ class Controller:
         self.placement.move(src, dst)
         out.append(self._emit(
             epoch, barrier_ms, src, "migrate_out", (gid, dst),
-            barrier_ms + self.config.net_latency_ms))
+            barrier_ms + self.spec.topology.net_latency_ms))
 
     def _most_loaded(self) -> typing.Optional[int]:
         best = None
-        for host in range(self.config.hosts):
+        for host in range(self.spec.hosts):
             count = len(self._by_host[host])
             if count > 0 and (best is None
                               or count > len(self._by_host[best])):
@@ -195,7 +196,7 @@ class Controller:
 
     def _least_loaded_except(self, exclude: int) -> typing.Optional[int]:
         best = None
-        for host in range(self.config.hosts):
+        for host in range(self.spec.hosts):
             if host == exclude:
                 continue
             if best is None or \

@@ -2,7 +2,8 @@
 
 A :class:`HostNode` wraps a :class:`repro.core.host.Host` (its own
 :class:`Simulator`, toolstack, XenStore plane, checkpointer, fault
-injector) and adds the three things the epoch-barrier scheduler needs:
+injector), built from the spec's components as a single-host run builds
+one, and adds the three things the epoch-barrier scheduler needs:
 
 * **delivery** — cross-host messages are injected at their exact agreed
   arrival instant via :meth:`Simulator.schedule_at`, carrying the message
@@ -25,8 +26,7 @@ from __future__ import annotations
 import typing
 
 from ..analysis.sanitize import EventTrace
-from ..core.host import Host
-from ..faults import ABSORBED, FaultPlan
+from ..faults import ABSORBED
 from ..net.links import Link
 from ..sim.engine import Simulator
 from ..toolstack.config import VMConfig
@@ -55,29 +55,27 @@ class HostNode:
     """Host ``host_index`` of the cluster, advanced window by window."""
 
     def __init__(self, config: ClusterConfig, host_index: int):
+        spec = config.spec
         self.config = config
         self.host_index = host_index
         self.sim = Simulator()
         self.trace = EventTrace().attach(self.sim)
-        image = config.guest_image()
-        self._image = image
-        plan = None
-        if config.fault_rate > 0.0:
-            # Per-host fault plan derived from the cluster seed: host i
-            # draws from its own stream, so adding a host never perturbs
-            # another host's fault schedule.
-            plan = FaultPlan.uniform(probability=config.fault_rate,
-                                     points=config.fault_points,
-                                     seed=host_seed(config.seed,
-                                                    host_index))
-        self.host = Host(spec=config.host_spec(), variant=config.variant,
-                         seed=host_seed(config.seed, host_index),
-                         sim=self.sim, host_id=host_index,
-                         pool_target=config.pool_target(),
-                         shell_memory_kb=image.memory_kb,
-                         fault_plan=plan, recovery=config.recovery)
-        self._link = Link(self.sim, latency_ms=config.net_latency_ms,
-                          bandwidth_mbps=config.net_bandwidth_mbps)
+        self._image = spec.guest.build()
+        # Host i draws its seed, and so its fault plan, from its own
+        # stream: adding a host never perturbs another host's schedule.
+        seed = host_seed(config.seed, host_index)
+        # No warm-up: the pool fills on the epoch timeline before the
+        # first create arrives (ClusterConfig.create_start).
+        self.host = spec.host.build(
+            count=spec.guests, image=self._image, sim=self.sim, seed=seed,
+            fault_plan=spec.faults.build(seed),
+            recovery=spec.faults.recovery,
+            pool_target=config.pool_target())
+        topology = spec.topology
+        self._latency_ms = topology.net_latency_ms
+        self._service_ms = spec.traffic.service_ms
+        self._link = Link(self.sim, latency_ms=topology.net_latency_ms,
+                          bandwidth_mbps=topology.net_bandwidth_mbps)
         #: gid -> owner host, from controller ``up`` broadcasts.  May lag
         #: migrations by the control latency; a stale route is a counted
         #: miss, identically on every backend.
@@ -171,7 +169,7 @@ class HostNode:
               latency_ms: typing.Optional[float] = None) -> None:
         now = self.sim.now
         if latency_ms is None:
-            latency_ms = self.config.net_latency_ms
+            latency_ms = self._latency_ms
         self._sends.append(ClusterMessage(
             kind=kind, src=self.host_index, dst=dst, epoch=self._epoch,
             seq=self._seq, send_ms=now, arrive_ms=now + latency_ms,
@@ -266,7 +264,7 @@ class HostNode:
         start = self.config.traffic_start()
         if start > 0:
             yield self.sim.timeout(start)
-        rate = 1.0 / self.config.request_gap_ms
+        rate = 1.0 / self.config.spec.traffic.request_gap_ms
         while self._traffic_remaining > 0:
             yield self.sim.timeout(rng.expovariate(rate))
             self._traffic_remaining -= 1  # noqa: RPR103 -- single-writer counter: exactly one _traffic process exists per node (spawned once in __init__) and nothing else writes it, so no interleaving can clobber the read
@@ -285,7 +283,7 @@ class HostNode:
         self._inflight += 1
         if owner == self.host_index:
             served = 1 if gid in self._local else 0
-            delay = self.config.service_ms if served else 0.0
+            delay = self._service_ms if served else 0.0
             self.sim.call_later(delay, self._request_done, self.sim.now,
                                 served)
         else:
@@ -303,7 +301,7 @@ class HostNode:
     def _h_req(self, msg: ClusterMessage) -> None:
         gid, sent_ms = msg.payload
         served = 1 if gid in self._local else 0
-        delay = self.config.service_ms if served else 0.0
+        delay = self._service_ms if served else 0.0
         self.sim.call_later(delay, self._reply, msg.src, sent_ms, served)
 
     def _reply(self, src: int, sent_ms: float, served: int) -> None:

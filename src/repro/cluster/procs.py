@@ -65,7 +65,7 @@ class ProcsBackend:
         # Fork first: the children build their nodes while this process
         # builds its own, and inherit none of them.
         self._pool = WorkerPool(_worker_main, (config,),
-                                range(config.hosts), workers,
+                                range(config.spec.hosts), workers,
                                 ClusterError, "cluster worker", "hosts",
                                 keep_first=True)
         self.workers = self._pool.workers

@@ -58,18 +58,12 @@ class Host:
                  shell_vifs: int = 1,
                  fault_plan: typing.Optional[FaultPlan] = None,
                  xenstore_queue_cap: typing.Optional[int] = None,
-                 recovery: bool = False,
-                 host_id: typing.Optional[int] = None):
+                 recovery: bool = False):
         if variant not in VARIANTS:
             raise ValueError("unknown variant %r; expected one of %s"
                              % (variant, ", ".join(VARIANTS)))
         self.spec = spec
         self.variant = variant
-        #: Cluster-wide address of this host, or ``None`` for the classic
-        #: single-host setups.  ``repro.cluster`` assigns the host index
-        #: here so migration endpoints and placement commands address the
-        #: machine by a stable id rather than an object reference.
-        self.host_id = host_id
         self.sim = sim or Simulator()
         self.rng = RngRegistry(seed)
         #: Deterministic fault injector shared by every control-plane

@@ -1,63 +1,17 @@
 """Reusable experiment drivers.
 
-Two workload shapes of the paper's evaluation that are not scenario-spec
-traffic patterns: checkpoint a sample of a running fleet (Fig 12), and
-pause part of a fleet to free CPU.  Boot storms run as specs through
-:func:`repro.stdlib.run_scenario`.
+A workload shape of the paper's evaluation that is not a scenario-spec
+traffic pattern: pause part of a fleet to free CPU.  Boot storms run as
+specs through :func:`repro.stdlib.run_scenario`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import typing
 
 from ..guests.images import GuestImage
 from .host import Host
 from .hostspec import HostSpec, XEON_E5_1630
-
-
-@dataclasses.dataclass
-class CheckpointSweepResult:
-    """Mean save/restore times at each fleet-size point."""
-
-    variant: str
-    points: typing.List[int]
-    save_ms: typing.List[float]
-    restore_ms: typing.List[float]
-
-
-def checkpoint_sweep(variant: str, image: GuestImage,
-                     points: typing.Sequence[int],
-                     samples_per_point: int = 10,
-                     spec: HostSpec = XEON_E5_1630,
-                     seed: int = 0) -> CheckpointSweepResult:
-    """Grow a fleet to each point and checkpoint a random sample (the
-    Fig 12 procedure)."""
-    host = Host(spec=spec, variant=variant, seed=seed,
-                pool_target=max(points) + 32,
-                shell_memory_kb=image.memory_kb)
-    host.warmup(25.0 * (max(points) + 32))
-    pick = host.rng.stream("checkpoint-sweep")
-    fleet = []
-    save_series, restore_series = [], []
-    for target in points:
-        while host.running_guests < target:
-            config = host.config_for(image)
-            fleet.append((host.create_vm(config).domain, config))
-        saves, restores = [], []
-        for _ in range(samples_per_point):
-            domain, config = fleet.pop(pick.randrange(len(fleet)))
-            t0 = host.sim.now
-            saved = host.save_vm(domain, config)
-            saves.append(host.sim.now - t0)
-            t0 = host.sim.now
-            fleet.append((host.restore_vm(saved), config))
-            restores.append(host.sim.now - t0)
-        save_series.append(sum(saves) / len(saves))
-        restore_series.append(sum(restores) / len(restores))
-    return CheckpointSweepResult(variant=variant, points=list(points),
-                                 save_ms=save_series,
-                                 restore_ms=restore_series)
 
 
 @dataclasses.dataclass

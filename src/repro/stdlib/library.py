@@ -5,11 +5,14 @@ patterns, fault plans, placement policies, topologies) and the standard
 instances every scenario spec can reference by ``name@version``.
 
 Each type carries a ``build()`` hook that turns the declarative record
-into the live object the runner needs (a :class:`~repro.core.host.Host`,
-a :class:`~repro.guests.images.GuestImage`, a
-:class:`~repro.faults.plan.FaultPlan`); pure-data components (traffic,
-placement, topology) are consumed field-by-field when a spec is lowered
-onto a single-host storm or a :class:`~repro.cluster.config.ClusterConfig`.
+into the live object a run needs (a :class:`~repro.core.host.Host`, a
+:class:`~repro.guests.images.GuestImage`, a
+:class:`~repro.faults.plan.FaultPlan`).  A single-host run and every
+cluster node build their hosts, images and fault plans through these
+same hooks.  Pure-data components (traffic, placement, topology) are
+read field by field: by the single-host storm, and by the cluster's
+nodes and controller.  Each type checks its own parameters when a spec
+overrides them (:meth:`~.components.Component.validate`).
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from ..cluster.config import ClusterConfig
 from ..cluster.placement import POLICIES
 from ..core.host import VARIANTS
 from ..core.hostspec import HOST_SPECS, HostSpec
@@ -35,7 +37,9 @@ class HostProfile(Component):
     benchmarks use (pool pre-filled to ``guests + pool_slack`` shells,
     ``warmup_ms_per_shell`` simulated ms of pre-fill per shell); with
     ``pooled: false`` the host keeps its stock defaults — the Fig 4
-    stock-Xen storms run that way.
+    stock-Xen storms run that way.  Cluster nodes size and fill their
+    pools themselves, so a cluster-mode spec may not override these
+    three parameters.
     """
 
     kind: typing.ClassVar[str] = "host"
@@ -57,22 +61,32 @@ class HostProfile(Component):
 
     def build(self, *, count: int, image: typing.Optional[GuestImage],
               sim=None, seed: int = 0, fault_plan=None,
-              recovery: bool = False):
-        """Construct (and pre-warm) the host for a ``count``-guest run."""
+              recovery: bool = False,
+              pool_target: typing.Optional[int] = None):
+        """Construct (and pre-warm) the host for a ``count``-guest run.
+
+        A cluster node passes ``pool_target``, its worst-case local
+        guests plus slack: the shell pool is sized to it and not warmed
+        up, because the node's pool fills on the epoch timeline before
+        the first create arrives.
+        """
         from ..core.host import Host
         kwargs: typing.Dict[str, object] = dict(
             spec=self.host_spec(), variant=self.variant, seed=seed,
             sim=sim, xenstore_workers=self.xenstore_workers,
             xenstore_batch=self.xenstore_batch, fault_plan=fault_plan,
             recovery=recovery)
-        if self.pooled:
-            kwargs["pool_target"] = count + self.pool_slack
+        warmup_ms = 0.0
+        if pool_target is None and self.pooled:
+            pool_target = count + self.pool_slack
+            warmup_ms = self.warmup_ms_per_shell * pool_target
+        if pool_target is not None:
+            kwargs["pool_target"] = pool_target
             if image is not None:
                 kwargs["shell_memory_kb"] = image.memory_kb
         host = Host(**kwargs)
-        if self.pooled and self.warmup_ms_per_shell > 0:
-            host.warmup(self.warmup_ms_per_shell
-                        * (count + self.pool_slack))
+        if warmup_ms > 0:
+            host.warmup(warmup_ms)
         return host
 
 
@@ -108,6 +122,16 @@ class GuestProfile(Component):
         return CATALOG[self.image]
 
 
+def _check_positive(component: Component, *names: str) -> None:
+    """Raise :class:`ValueError` naming the first of ``names`` whose
+    value is not > 0 (written ``not value > 0`` so that NaN fails)."""
+    for name in names:
+        value = getattr(component, name)
+        if not value > 0:
+            raise ValueError("parameter %r must be > 0, got %r"
+                             % (name, value))
+
+
 #: Traffic patterns (host mode runs ``open-loop`` as a plain storm; its
 #: request knobs drive cluster traffic).
 PATTERNS = ("boot-storm", "bursty", "open-loop", "churn")
@@ -117,9 +141,8 @@ PATTERNS = ("boot-storm", "bursty", "open-loop", "churn")
 class TrafficPattern(Component):
     """How load arrives.
 
-    Single-host storms read ``pattern`` plus the burst/churn knobs; the
-    cluster lowering maps the arrival knobs onto
-    :class:`~repro.cluster.config.ClusterConfig` fields
+    Single-host storms read ``pattern`` plus the burst/churn knobs; a
+    cluster's controller and nodes read the arrival knobs
     (``create_spacing_ms``, ``request_gap_ms``, ``service_ms``).
     """
 
@@ -143,8 +166,7 @@ class TrafficPattern(Component):
 
     def validate(self) -> None:
         super().validate()
-        ClusterConfig(create_spacing_ms=self.create_spacing_ms,
-                      request_gap_ms=self.request_gap_ms).validate()
+        _check_positive(self, "create_spacing_ms", "request_gap_ms")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -276,9 +298,17 @@ class TopologyProfile(Component):
     net_bandwidth_mbps: float = 10000.0
 
     def validate(self) -> None:
-        ClusterConfig(epoch_ms=self.epoch_ms,
-                      net_latency_ms=self.net_latency_ms,
-                      net_bandwidth_mbps=self.net_bandwidth_mbps).validate()
+        _check_positive(self, "epoch_ms")
+        if not self.net_latency_ms >= self.epoch_ms:
+            # The conservative-PDES lookahead rule: a message sent inside
+            # epoch k must not arrive before epoch k+1 begins, or hosts
+            # would need mid-window exchange and the barrier schedule
+            # would stop being deterministic.
+            raise ValueError(
+                "parameter 'net_latency_ms' (%r) must be >= epoch_ms "
+                "(%r): the epoch length is the cluster's lookahead"
+                % (self.net_latency_ms, self.epoch_ms))
+        _check_positive(self, "net_bandwidth_mbps")
 
 
 # ----------------------------------------------------------------------

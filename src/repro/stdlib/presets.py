@@ -1,8 +1,9 @@
 """Named scenario presets: the repo's standing experiments as specs.
 
-The two standing cluster scenarios, which tests and benchmarks build
-cluster configs from (``preset(name, ...).to_cluster_config(seed)``),
-and a helper for the single-host storm shape the figure benchmarks use.
+The two standing cluster scenarios, which tests and benchmarks run
+(``preset(name, ...).to_cluster_config(seed)`` pairs the spec with a
+seed), and a helper for the single-host storm shape the figure
+benchmarks use.
 """
 
 from __future__ import annotations

@@ -76,6 +76,10 @@ _KEYS_BY_MODE = {
 
 MODES = ("host", "cluster")
 
+#: Shell-pool parameters a cluster-mode ``host`` mapping may not
+#: override: cluster nodes size and fill their pools themselves.
+_CLUSTER_POOL_KEYS = ("pool_slack", "pooled", "warmup_ms_per_shell")
+
 
 @dataclasses.dataclass
 class ScenarioSpec:
@@ -167,21 +171,20 @@ class ScenarioSpec:
                     "images only, got %s (runtime %r)"
                     % (guest.ref(), guest.runtime))
             if isinstance(faults, ChaosProfile):
-                # ClusterConfig lowers only a uniform rate: a chaos
-                # schedule would be silently dropped.
                 raise SpecTypeError(
                     "faults", "field 'faults': chaos schedules run only "
-                    "in host mode, got %s in mode 'cluster'"
+                    "in host mode, got %s in mode 'cluster' (chaos runs "
+                    "are audited, and cluster runs are not yet)"
                     % faults.ref())
-            if host.xenstore_workers != 1 or host.xenstore_batch:
-                # ClusterConfig has no XenStore knobs: every cluster
-                # host runs the single-worker, unbatched daemon.
-                raise SpecTypeError(
-                    "host", "field 'host': cluster mode supports only "
-                    "xenstore_workers=1 and xenstore_batch=false, got "
-                    "%r and %r from %s" % (host.xenstore_workers,
-                                           host.xenstore_batch,
-                                           host.ref()))
+            for key in _CLUSTER_POOL_KEYS:
+                if isinstance(data["host"], dict) and key in data["host"]:
+                    # An ignored override would move the spec digest
+                    # and nothing else.
+                    raise SpecTypeError(
+                        "host", "field 'host': mode 'cluster' cannot "
+                        "override %r of %s: each cluster node sizes its "
+                        "shell pool to its worst-case guests and fills "
+                        "it before the first create" % (key, host.ref()))
             placement = resolve("placement", data["placement"],
                                 "placement")
             topology = resolve("topology", data["topology"], "topology")
@@ -231,30 +234,14 @@ class ScenarioSpec:
     # Lowering
     # ------------------------------------------------------------------
     def to_cluster_config(self, seed: int = 0):
-        """Lower a cluster-mode spec onto a
-        :class:`~repro.cluster.config.ClusterConfig`."""
+        """This cluster-mode spec under ``seed``, as the
+        :class:`~repro.cluster.config.ClusterConfig` a cluster runs."""
         if self.mode != "cluster":
             raise SpecTypeError(
                 "mode", "spec %r has mode %r; only cluster-mode specs "
                 "lower to a ClusterConfig" % (self.name, self.mode))
         from ..cluster.config import ClusterConfig
-        assert self.placement is not None and self.topology is not None
-        return ClusterConfig(
-            hosts=self.hosts, seed=seed, scenario=self.name,
-            variant=self.host.variant, image=self.guest.image,
-            spec=self.host.spec,
-            epoch_ms=self.topology.epoch_ms,
-            net_latency_ms=self.topology.net_latency_ms,
-            net_bandwidth_mbps=self.topology.net_bandwidth_mbps,
-            guests=self.guests,
-            create_spacing_ms=self.traffic.create_spacing_ms,
-            placement=self.placement.policy,
-            migrations=self.migrations, requests=self.requests,
-            request_gap_ms=self.traffic.request_gap_ms,
-            service_ms=self.traffic.service_ms,
-            fault_rate=self.faults.rate,
-            fault_points=self.faults.points,
-            recovery=self.faults.recovery)
+        return ClusterConfig(spec=self, seed=seed)
 
 
 def _positive_int(value: object, field: str) -> int:

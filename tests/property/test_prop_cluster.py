@@ -3,7 +3,8 @@
 Randomizes the epoch length (the lookahead), the latency slack above it,
 the topology, and the traffic mix that drives cross-host message
 interleavings — and requires the procs backend to reproduce the inline
-backend's digest bit-for-bit at every sampled point.  Note digests are
+backend's digest bit-for-bit at every sampled point.  Each draw is a
+boot-storm spec with topology and traffic overrides.  Note digests are
 *not* expected to be invariant across epoch lengths (barrier instants
 are part of the timeline); the property is backend-independence at a
 fixed config.
@@ -12,7 +13,8 @@ fixed config.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import Cluster, ClusterConfig
+from repro.cluster import Cluster
+from repro.stdlib import preset
 
 configs = st.fixed_dictionaries({
     "hosts": st.integers(min_value=1, max_value=4),
@@ -30,12 +32,15 @@ configs = st.fixed_dictionaries({
 
 
 def _build(params):
-    return ClusterConfig(
-        hosts=params["hosts"], seed=params["seed"],
-        guests=params["guests"], requests=params["requests"],
-        migrations=params["migrations"], epoch_ms=params["epoch_ms"],
-        net_latency_ms=params["epoch_ms"] + params["latency_slack_ms"],
-        request_gap_ms=params["request_gap_ms"])
+    return preset(
+        "boot-storm", hosts=params["hosts"], guests=params["guests"],
+        requests=params["requests"], migrations=params["migrations"],
+        topology={"ref": "lan@1", "epoch_ms": params["epoch_ms"],
+                  "net_latency_ms": params["epoch_ms"]
+                  + params["latency_slack_ms"]},
+        traffic={"ref": "boot-storm@1",
+                 "request_gap_ms": params["request_gap_ms"]},
+    ).to_cluster_config(params["seed"])
 
 
 @given(configs, st.integers(min_value=1, max_value=4))

@@ -10,8 +10,11 @@ from repro.cluster import (CONTROLLER, Cluster, ClusterConfig,
                            ClusterConfigError, ClusterError,
                            ClusterMessage, Controller, Placement,
                            PlacementError, host_seed, sort_canonical)
-from repro.stdlib import (ScenarioSpec, SweepError, UnknownSpecKeyError,
-                          preset, replay_manifest, run_sweep)
+from repro.cluster import cluster as cluster_module
+from repro.stdlib import (ComponentOverrideError, ScenarioSpec,
+                          SpecTypeError, SweepError, UnknownComponentError,
+                          UnknownSpecKeyError, preset, replay_manifest,
+                          run_sweep)
 
 
 def _config(name, seed=0, **workload):
@@ -22,33 +25,59 @@ def _run(name, seed=0, **workload):
     return Cluster(_config(name, seed, **workload)).run()
 
 
+def _ramp(config):
+    """A controller stepped through empty barriers, as Cluster.run
+    steps it, until it has issued every create.  Returns the controller,
+    its messages, and the next barrier's epoch and instant."""
+    controller = Controller(config)
+    epoch_ms = config.spec.topology.epoch_ms
+    out = []
+    epoch = -1
+    while controller._next_gid < config.spec.guests:
+        out.extend(controller.barrier(epoch, (epoch + 1) * epoch_ms, []))
+        epoch += 1
+    return controller, out, epoch, (epoch + 1) * epoch_ms
+
+
 # ----------------------------------------------------------------------
 # Config
 # ----------------------------------------------------------------------
 
 class TestClusterConfig:
     def test_defaults_validate(self):
-        ClusterConfig().validate()
+        # A config is the resolved spec plus a seed, nothing else.
+        spec = preset("boot-storm")
+        assert spec.to_cluster_config(3) == ClusterConfig(spec=spec, seed=3)
+        assert [field.name for field in
+                dataclasses.fields(ClusterConfig)] == ["spec", "seed"]
 
     def test_lookahead_rule_enforced(self):
-        config = ClusterConfig(epoch_ms=10.0, net_latency_ms=5.0)
-        with pytest.raises(ClusterConfigError, match="lookahead"):
-            config.validate()
+        with pytest.raises(ComponentOverrideError, match="lookahead") as err:
+            preset("boot-storm", topology={"ref": "lan@1", "epoch_ms": 10.0,
+                                           "net_latency_ms": 5.0})
+        assert err.value.field == "topology"
 
     def test_epoch_equal_to_latency_is_legal(self):
-        ClusterConfig(epoch_ms=5.0, net_latency_ms=5.0).validate()
+        spec = preset("boot-storm", topology={"ref": "lan@1",
+                                              "epoch_ms": 7.0,
+                                              "net_latency_ms": 7.0})
+        assert spec.topology.epoch_ms == spec.topology.net_latency_ms
 
     def test_zero_hosts_rejected(self):
-        with pytest.raises(ClusterConfigError):
-            ClusterConfig(hosts=0).validate()
+        with pytest.raises(SpecTypeError) as err:
+            preset("boot-storm", hosts=0)
+        assert err.value.field == "hosts"
 
     def test_unknown_spec_rejected(self):
-        with pytest.raises(ClusterConfigError):
-            ClusterConfig(spec="cray-1").validate()
+        with pytest.raises(ComponentOverrideError) as err:
+            preset("boot-storm", host={"ref": "lightvm-64core@1",
+                                       "spec": "cray-1"})
+        assert err.value.field == "host"
 
     def test_unknown_image_rejected(self):
-        with pytest.raises(Exception):
-            ClusterConfig(image="no-such-image").validate()
+        with pytest.raises(UnknownComponentError) as err:
+            preset("boot-storm", guest="no-such-image@1")
+        assert err.value.field == "guest"
 
     def test_round_trips_through_json(self):
         spec = preset("migration-churn", hosts=3, guests=9, requests=12)
@@ -60,7 +89,7 @@ class TestClusterConfig:
             preset("boot-storm", hosts=2, warp_factor=9)
 
     def test_requests_split_covers_budget(self):
-        config = ClusterConfig(hosts=3, requests=10)
+        config = _config("boot-storm", hosts=3, requests=10)
         shares = [config.requests_for(h) for h in range(3)]
         assert sum(shares) == 10
         assert max(shares) - min(shares) <= 1
@@ -70,9 +99,9 @@ class TestClusterConfig:
         assert len(seen) == 4 * 16
 
     def test_first_fit_pool_target_covers_full_storm(self):
-        packed = ClusterConfig(hosts=4, guests=32,
-                               placement="first-fit")
-        spread = ClusterConfig(hosts=4, guests=32)
+        packed = _config("boot-storm", hosts=4, guests=32,
+                         placement="first-fit@1")
+        spread = _config("boot-storm", hosts=4, guests=32)
         assert packed.pool_target() >= 32
         assert spread.pool_target() < packed.pool_target()
 
@@ -162,59 +191,48 @@ class TestController:
         assert not controller.done
 
     def test_creates_arrive_at_exact_ramp_instants(self):
-        config = dataclasses.replace(
-            _config("boot-storm", hosts=2, guests=4), create_start_ms=10.0,
-            create_spacing_ms=3.0)
-        controller = Controller(config)
-        out = []
-        barrier = 0.0
-        epoch = -1
-        while controller._next_gid < 4:
-            out.extend(controller.barrier(epoch, barrier, []))
-            epoch += 1
-            barrier = (epoch + 1) * config.epoch_ms
+        config = _config("boot-storm", hosts=2, guests=4)
+        _controller, out, _epoch, _barrier = _ramp(config)
         creates = [m for m in out if m.kind == "create"]
-        assert [m.arrive_ms for m in creates] == [10.0, 13.0, 16.0, 19.0]
+        start = config.create_start()
+        assert [m.arrive_ms for m in creates] == [
+            start, start + 3.0, start + 6.0, start + 9.0]
         # least-loaded with the lowest-index tie-break alternates hosts
         assert [m.dst for m in creates] == [0, 1, 0, 1]
         # every create lands strictly inside the window after its barrier
+        epoch_ms = config.spec.topology.epoch_ms
         for m in creates:
-            assert m.send_ms <= m.arrive_ms < m.send_ms + config.epoch_ms
+            assert m.send_ms <= m.arrive_ms < m.send_ms + epoch_ms
 
     def test_completion_report_triggers_directory_broadcast(self):
-        config = dataclasses.replace(
-            _config("boot-storm", hosts=3, guests=1), create_start_ms=1.0)
-        controller = Controller(config)
-        controller.barrier(-1, 0.0, [])  # issues the single create
-        out = controller.barrier(0, 5.0, [_created(0, src=0)])
+        config = _config("boot-storm", hosts=3, guests=1)
+        controller, _out, epoch, barrier = _ramp(config)
+        out = controller.barrier(epoch, barrier, [_created(0, src=0)])
         ups = [m for m in out if m.kind == "up"]
         assert [m.dst for m in ups] == [0, 1, 2]
         assert all(m.payload == (0, 0) for m in ups)
-        assert all(m.arrive_ms == 5.0 + config.net_latency_ms
-                   for m in ups)
+        latency_ms = config.spec.topology.net_latency_ms
+        assert all(m.arrive_ms == barrier + latency_ms for m in ups)
         assert controller.done
 
     def test_failed_create_releases_placement(self):
-        config = dataclasses.replace(
-            _config("boot-storm", hosts=1, guests=1), create_start_ms=1.0)
-        controller = Controller(config)
-        controller.barrier(-1, 0.0, [])
+        config = _config("boot-storm", hosts=1, guests=1)
+        controller, _out, epoch, barrier = _ramp(config)
         fail = ClusterMessage(kind="create_failed", src=0,
-                              dst=CONTROLLER, epoch=0, seq=0,
+                              dst=CONTROLLER, epoch=epoch, seq=0,
                               send_ms=0.0, arrive_ms=0.0, payload=(0,))
-        controller.barrier(0, 5.0, [fail])
+        controller.barrier(epoch, barrier, [fail])
         assert controller.placement.load == [0]
         assert controller.done
 
     def test_migration_waits_for_storm_to_settle(self):
-        config = dataclasses.replace(
-            _config("migration-churn", hosts=2, guests=2, migrations=1),
-            create_start_ms=1.0, create_spacing_ms=1.0)
-        controller = Controller(config)
-        out = controller.barrier(-1, 0.0, [])
+        config = _config("migration-churn", hosts=2, guests=2,
+                         migrations=1)
+        controller, out, epoch, barrier = _ramp(config)
         assert not any(m.kind == "migrate_out" for m in out)
-        out = controller.barrier(0, 5.0, [_created(0, src=0),
-                                          _created(1, src=1, seq=1)])
+        out = controller.barrier(epoch, barrier,
+                                 [_created(0, src=0, epoch=epoch),
+                                  _created(1, src=1, epoch=epoch, seq=1)])
         # churn starts only once every create resolved; the lowest-index
         # candidate host and its lowest gid are chosen deterministically
         migs = [m for m in out if m.kind == "migrate_out"]
@@ -222,21 +240,20 @@ class TestController:
         assert migs[0].dst == 0 and migs[0].payload == (0, 1)
 
     def test_migration_moves_from_most_to_least_loaded(self):
-        config = dataclasses.replace(
-            _config("migration-churn", hosts=2, guests=2, migrations=1,
-                    placement="first-fit@1"),
-            create_start_ms=1.0, create_spacing_ms=1.0)
-        controller = Controller(config)
-        controller.barrier(-1, 0.0, [])
-        out = controller.barrier(0, 5.0, [_created(0, src=0),
-                                          _created(1, src=0, seq=1)])
+        config = _config("migration-churn", hosts=2, guests=2,
+                         migrations=1, placement="first-fit@1")
+        controller, _out, epoch, barrier = _ramp(config)
+        out = controller.barrier(epoch, barrier,
+                                 [_created(0, src=0, epoch=epoch),
+                                  _created(1, src=0, epoch=epoch, seq=1)])
         migs = [m for m in out if m.kind == "migrate_out"]
         assert len(migs) == 1
         assert migs[0].dst == 0 and migs[0].payload == (0, 1)
+        epoch_ms = config.spec.topology.epoch_ms
         done = ClusterMessage(kind="migrated", src=1, dst=CONTROLLER,
-                              epoch=1, seq=0, send_ms=0.0,
+                              epoch=epoch + 1, seq=0, send_ms=0.0,
                               arrive_ms=0.0, payload=(0,))
-        controller.barrier(1, 10.0, [done])
+        controller.barrier(epoch + 1, barrier + epoch_ms, [done])
         assert controller.directory[0] == 1
         assert controller.stats["migrations_done"] == 1
         assert controller.done
@@ -290,13 +307,15 @@ class TestClusterRuns:
 
     def test_inexact_epoch_length_keeps_creates_in_their_window(self):
         # 95 * 2.2 rounds above 209.0, the second ramp instant.
-        config = ClusterConfig(hosts=1, guests=5, epoch_ms=2.2,
-                               net_latency_ms=2.2)
+        config = _config("boot-storm", hosts=1, guests=5,
+                         topology={"ref": "lan@1", "epoch_ms": 2.2,
+                                   "net_latency_ms": 2.2})
+        assert config.create_start() + 3.0 == 209.0
         assert Cluster(config).run().stats["booted"] == 5
 
-    def test_livelock_guard_raises(self):
-        config = dataclasses.replace(
-            _config("boot-storm", hosts=2, guests=4), max_epochs=3)
+    def test_livelock_guard_raises(self, monkeypatch):
+        monkeypatch.setattr(cluster_module, "MAX_EPOCHS", 3)
+        config = _config("boot-storm", hosts=2, guests=4)
         with pytest.raises(ClusterError, match="no quiescence"):
             Cluster(config).run()
 

@@ -7,10 +7,12 @@ the worker count.  These tests pin ``backend="procs"`` byte-identical to
 fault-injected and recovery-enabled runs.
 """
 
+import pathlib
+
 import pytest
 
 from repro.cluster import Cluster
-from repro.stdlib import preset
+from repro.stdlib import load_spec, preset, run_scenario, run_sweep
 
 SEEDS = (0, 1, 2)
 WORKER_COUNTS = (1, 2, 4)
@@ -99,3 +101,42 @@ def test_first_fit_placement_matches_inline():
         return _config("boot-storm", 0, hosts=3, guests=6, requests=12,
                        placement="first-fit@1")
     assert _procs(config(), 2).digest == _inline(config()).digest
+
+
+# ----------------------------------------------------------------------
+# Literal pins: inline == procs cannot catch a drift that moves both
+# backends the same way, so these cluster digests are held to the values
+# they had before the cluster hosts were built through HostProfile.build.
+# ----------------------------------------------------------------------
+
+EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
+
+
+def test_cluster_storm_example_pins():
+    spec = load_spec(EXAMPLES / "cluster_storm.yaml")
+    manifest = run_sweep(spec, [1])
+    assert manifest["runs"][0]["digest"] == (
+        "a5abd973b2b50c4413b58bbaf16cd0e93ef0229fc074a5efcdecdd59bc43492b")
+    assert manifest["manifest_digest"] == (
+        "4aae9ebd8004755a1b8cbd52a0f7827803f4ea132525ff40039a02c5a240ec69")
+
+
+def test_migration_churn_example_manifest_pin():
+    spec = load_spec(EXAMPLES / "migration_churn.yaml")
+    assert run_sweep(spec, range(4))["manifest_digest"] == (
+        "ae7e8487089dc4d066b868f6b3472d6b22a6ee8d7b4d9f4c45ec08e820beb737")
+
+
+@pytest.mark.parametrize("name,seed,workload,digest", [
+    # Heavy faults: failed creates, failed migrations, recovery on.
+    ("migration-churn", 0,
+     dict(hosts=3, guests=12, requests=300, migrations=6,
+          faults="heavy@1"),
+     "9258818cb3b5593245959ba019b06c058a40cabda2455af6c701db9ede6e55c7"),
+    ("boot-storm", 4,
+     dict(hosts=3, guests=9, requests=200, faults="light@1",
+          placement="first-fit@1", topology="wan@1"),
+     "3e7f981da9f2f4c9747a059455e331f8ace5f2bbcfed3089e6440c9005e2f460"),
+], ids=["churn-heavy-faults", "storm-first-fit-wan"])
+def test_preset_run_pins(name, seed, workload, digest):
+    assert run_scenario(preset(name, **workload), seed).digest == digest

@@ -9,7 +9,6 @@ so a failure there propagates as it does inline, and a child still busy
 in its epoch is stopped rather than waited for.
 """
 
-import dataclasses
 import multiprocessing
 import os
 import pathlib
@@ -19,6 +18,7 @@ import time
 
 import pytest
 
+from repro.cluster import cluster as cluster_module
 from repro.cluster.cluster import Cluster, ClusterError
 from repro.cluster.node import HostNode
 from repro.cluster.procs import ProcsBackend
@@ -109,7 +109,8 @@ def test_cluster_worker_failure_names_its_hosts(monkeypatch, failure,
     config = load_spec(STORM).to_cluster_config(1)
     inject(monkeypatch)
     hosts = ", ".join(str(host)
-                      for host in range(FAIL_HOST, config.hosts, workers))
+                      for host in range(FAIL_HOST, config.spec.hosts,
+                                        workers))
     _assert_fails_fast(
         ClusterError,
         lambda: Cluster(config, backend="procs", workers=workers).run(),
@@ -183,11 +184,11 @@ def test_procs_forks_every_share_but_the_first(monkeypatch, workers):
 
 
 @pytest.mark.parametrize("workers", [2, 4])
-def test_coordinator_error_lets_idle_workers_exit(workers):
+def test_coordinator_error_lets_idle_workers_exit(monkeypatch, workers):
     # The livelock guard fires in the coordinator, not in a worker: the
     # idle workers must be stopped, not linger.
-    config = dataclasses.replace(load_spec(STORM).to_cluster_config(1),
-                                 max_epochs=FAIL_EPOCH)
+    monkeypatch.setattr(cluster_module, "MAX_EPOCHS", FAIL_EPOCH)
+    config = load_spec(STORM).to_cluster_config(1)
     _assert_fails_fast(
         ClusterError,
         lambda: Cluster(config, backend="procs", workers=workers).run(),

@@ -141,6 +141,14 @@ class TestBuildHooks:
         host = profile.build(count=4, image=CATALOG["daytime"])
         assert host.sim.now == 0.0  # no warmup, no pool pre-fill
 
+    def test_host_build_with_pool_target_sizes_pool_without_warmup(self):
+        # The cluster node's call: the pool fills on the epoch timeline.
+        from repro.guests import CATALOG
+        host = C.lookup("host", "lightvm", 1).build(
+            count=4, image=CATALOG["daytime"], pool_target=12)
+        assert host.daemon.pool_target == 12
+        assert host.sim.now == 0.0
+
     def test_describe_includes_all_params(self):
         record = C.lookup("traffic", "boot-storm", 1).describe()
         assert record["kind"] == "traffic"

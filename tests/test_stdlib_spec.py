@@ -4,9 +4,10 @@ import copy
 
 import pytest
 
+from repro.cluster import Cluster
 from repro.stdlib import (ComponentError, MissingSpecKeyError,
                           ScenarioSpec, SpecTypeError,
-                          UnknownSpecKeyError, loads)
+                          UnknownSpecKeyError, loads, preset, run_scenario)
 from repro.stdlib.presets import BOOT_STORM
 
 HOST_SPEC = {
@@ -192,9 +193,13 @@ class TestCanonicalForm:
 class TestClusterLowering:
     def test_boot_storm_preset_lowers_to_config_defaults(self):
         from repro.cluster.config import ClusterConfig
-        config = ScenarioSpec.from_dict(BOOT_STORM).to_cluster_config(7)
-        assert config == ClusterConfig(hosts=8, seed=7,
-                                       scenario="boot-storm", guests=32)
+        spec = ScenarioSpec.from_dict(BOOT_STORM)
+        config = spec.to_cluster_config(7)
+        assert config == ClusterConfig(spec=spec, seed=7)
+        # 8 hosts share 32 guests: 4 each, plus 8 spare shells.
+        assert config.pool_target() == 12
+        assert config.create_start() == 12.0 * 12 + 50.0
+        assert config.traffic_start() == config.create_start() + 48.0
 
     def test_host_mode_spec_refuses_cluster_lowering(self):
         with pytest.raises(SpecTypeError) as err:
@@ -207,19 +212,52 @@ class TestClusterLowering:
         payload["traffic"] = {"ref": "boot-storm@1",
                               "create_spacing_ms": 7.0}
         config = ScenarioSpec.from_dict(payload).to_cluster_config(0)
-        assert config.epoch_ms == 4.0
-        assert config.create_spacing_ms == 7.0
+        assert config.spec.topology.epoch_ms == 4.0
+        assert config.spec.traffic.create_spacing_ms == 7.0
+        assert config.traffic_start() == \
+            config.create_start() + 32 * 7.0 / 2
 
     @pytest.mark.parametrize("host", [
         "lightvm-batched@1",
         {"ref": "chaos+xs@1", "xenstore_workers": 4},
         {"ref": "chaos+xs@1", "xenstore_batch": True},
     ])
-    def test_cluster_mode_rejects_xenstore_knobs(self, host):
-        # ClusterConfig cannot carry them, so they would be dropped.
+    def test_cluster_mode_runs_xenstore_knobs(self, host):
+        # Nodes build their hosts through HostProfile.build, which hands
+        # both knobs to the host.
+        spec = preset("boot-storm", hosts=3, guests=6, requests=60,
+                      host=host)
+        inline = Cluster(spec.to_cluster_config(2)).run()
+        assert inline.stats["booted"] == 6
+        for workers in (2, 3):
+            procs = Cluster(spec.to_cluster_config(2), backend="procs",
+                            workers=workers).run()
+            assert procs.digest == inline.digest
+            assert procs.stats == inline.stats
+
+    def test_xenstore_knobs_change_a_cluster_run(self):
+        def digest(host):
+            return run_scenario(preset("boot-storm", hosts=3, guests=12,
+                                       requests=300, host=host), 2).digest
+        assert digest("chaos+xs@1") == (
+            "8adff589c3c4ca2a46c15061f97dd0fe"
+            "7e99b37e982095d5227f4d47ff81f032")
+        assert digest({"ref": "chaos+xs@1", "xenstore_workers": 4,
+                       "xenstore_batch": True}) == (
+            "8a2f31cb67f632dfaca21c46f955f0ec"
+            "99930c329df020f7275a14bec8a4d743")
+
+    @pytest.mark.parametrize("key,value", [
+        ("pool_slack", 200), ("warmup_ms_per_shell", 30.0),
+        ("pooled", False)])
+    def test_cluster_mode_rejects_pool_overrides(self, key, value):
+        # Cluster nodes size and fill their pools themselves, so the
+        # override would move the spec digest and nothing else.
         with pytest.raises(SpecTypeError) as err:
-            ScenarioSpec.from_dict(dict(BOOT_STORM, host=host))
+            preset("boot-storm", hosts=2, guests=4, requests=20,
+                   host={"ref": "lightvm-64core@1", key: value})
         assert err.value.field == "host"
+        assert repr(key) in str(err.value)
 
 
 class TestDocumentLoading:

@@ -2,27 +2,8 @@
 
 import pytest
 
-from repro.core.workloads import checkpoint_sweep, pause_density
-from repro.core.hostspec import XEON_E5_1630_2DOM0
-from repro.guests import DAYTIME_UNIKERNEL, TINYX
-
-
-class TestCheckpointSweep:
-    def test_sweep_shape(self):
-        result = checkpoint_sweep("lightvm", DAYTIME_UNIKERNEL,
-                                  points=(5, 15), samples_per_point=3,
-                                  spec=XEON_E5_1630_2DOM0)
-        assert result.points == [5, 15]
-        assert len(result.save_ms) == 2
-        assert all(s > 0 for s in result.save_ms)
-        assert all(r > 0 for r in result.restore_ms)
-
-    def test_lightvm_flat_over_points(self):
-        result = checkpoint_sweep("lightvm", DAYTIME_UNIKERNEL,
-                                  points=(5, 25), samples_per_point=3,
-                                  spec=XEON_E5_1630_2DOM0)
-        assert result.save_ms[1] == pytest.approx(result.save_ms[0],
-                                                  rel=0.3)
+from repro.core.workloads import pause_density
+from repro.guests import TINYX
 
 
 class TestPauseDensity:
