@@ -12,7 +12,7 @@ machine-checked instead of by-convention:
   ``set``/dict-view iteration on sim-visible paths, ``id()``-based
   ordering, float clock drift, and mutable default arguments.
 * :mod:`repro.analysis.sanitize` — opt-in runtime sanitizers
-  (``repro sanitize``) hooked into the simulation kernel: double-trigger
+  (``repro run --sanitize``) hooked into the simulation kernel: double-trigger
   detection, stalled-process (deadlock/leak) detection, end-of-run
   resource/store waiter audits, RNG stream-collision detection, and the
   dual-run digest checker that proves replay-identity by running a

@@ -3,8 +3,8 @@
 Gives the library a downstream-usable front end:
 
 * ``images`` — list the guest catalogue with the paper's footprints;
-* ``checkpoint`` — save/restore round-trip timings;
 * ``tinyx-build`` — run the Tinyx pipeline for an application;
+* ``unikernel-build`` — link Mini-OS unikernels and print their sizes;
 * ``usecase`` — run one of the §7 use cases;
 * ``syscalls`` — print the Fig 1 dataset;
 * ``lint`` — run the determinism linter over Python sources;
@@ -24,35 +24,30 @@ Gives the library a downstream-usable front end:
   list of them, such as chaos reproducers) and verifies its digest;
 * ``components`` — list the stdlib component catalogue.
 
-Four commands observe one run of a single-host VM spec (``SPEC
-[--seed N]``), each passing ``run_scenario`` a simulator of its own:
-
-* ``create`` — the per-guest create/boot table, mean/median/p90 and an
-  optional plot;
-* ``sanitize`` — runtime sanitizers plus the invariant audit on each of
-  ``--runs`` runs, then a comparison of their replay digests;
-* ``trace`` — the span tracer: per-phase attribution, span summary,
-  optional Chrome/Perfetto ``trace_event`` export;
-* ``metrics`` — the scraped metrics registry, fault-point tallies
-  (``faults/<point>/*``) included.
-
-A cluster spec or a container/process guest exits 2 naming ``mode`` or
-``guest``.  Flag conventions are shared across ``run``/``chaos`` (see
-:mod:`repro.cli_flags`): ``--seeds A..B`` for a seed set, ``--out`` for
-the JSON artifact.
+One seed of a single-host VM spec runs in this process, on a simulator
+the CLI passes ``run_scenario``, and also prints its per-guest
+create/boot table.  Three observer flags watch that run: ``--sanitize``
+(two runs under the runtime sanitizers and the invariant audit, their
+replay digests compared), ``--trace FILE`` (per-phase attribution, span
+summary, Chrome/Perfetto export) and ``--metrics`` (the scraped
+registry, also the manifest's ``metrics`` key, outside its digest).
+With an observer flag, a seed set, a cluster spec or a container/process
+guest exits 2 naming ``seeds``, ``mode`` or ``guest``.  Flag conventions
+are shared across ``run``/``chaos`` (see :mod:`repro.cli_flags`):
+``--seeds A..B`` for a seed set, ``--out`` for the JSON artifact.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 import typing
 
 from .cli_flags import seed_set
-from .core import Host, VARIANTS
 from .core.metrics import mean, median, percentile, sample_indices
 from .data import counts_by_year
-from .guests import CATALOG, lookup
+from .guests import CATALOG
 
 
 def _cmd_images(_args) -> int:
@@ -71,66 +66,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return value
-
-
-def _lookup_or_exit(parser_error, name: str):
-    try:
-        return lookup(name)
-    except KeyError as exc:
-        parser_error(str(exc).strip('"'))
-
-
-def _cmd_create(args) -> int:
-    from .sim import Simulator
-    run = _observed_run(args, Simulator())
-    if run is None:
-        return 2
-    spec, result = run
-    creates = result.series["create_ms"]
-    boots = result.series["boot_ms"]
-    print("booted %d x %s under %s (%d failed)"
-          % (len(creates), spec.guest.image, spec.host.variant,
-             result.stats["create_failed"]))
-    if not creates:
-        return 1
-    print("%-8s %12s %12s" % ("n", "create(ms)", "boot(ms)"))
-    for index in sample_indices(len(creates), min(10, len(creates))):
-        print("%-8d %12.2f %12.2f" % (index + 1, creates[index],
-                                      boots[index]))
-    print("create: mean=%.2f median=%.2f p90=%.2f"
-          % (mean(creates), median(creates), percentile(creates, 90)))
-    if args.plot:
-        from .core.asciiplot import render
-        print()
-        print(render(list(range(1, len(creates) + 1)),
-                     {"create": creates, "boot": boots},
-                     logy=True,
-                     title="%s on %s" % (spec.guest.image,
-                                         spec.host.variant)))
-    return 0
-
-
-def _cmd_checkpoint(args) -> int:
-    image = _lookup_or_exit(args.parser_error, args.image)
-    host = Host(variant=args.variant, seed=args.seed)
-    host.warmup(500)
-    config = host.config_for(image)
-    record = host.create_vm(config)
-    domain = record.domain
-    saves, restores = [], []
-    for _ in range(args.cycles):
-        t0 = host.sim.now
-        saved = host.save_vm(domain, config)
-        saves.append(host.sim.now - t0)
-        t0 = host.sim.now
-        domain = host.restore_vm(saved)
-        restores.append(host.sim.now - t0)
-    print("%d checkpoint cycles of %s under %s" % (args.cycles,
-                                                   args.image,
-                                                   args.variant))
-    print("save:    mean %.1f ms" % mean(saves))
-    print("restore: mean %.1f ms" % mean(restores))
-    return 0
 
 
 def _cmd_tinyx_build(args) -> int:
@@ -334,92 +269,6 @@ def _cmd_bench_gate(args) -> int:
     return 0 if passed else 1
 
 
-def _cmd_sanitize(args) -> int:
-    from .analysis import Sanitizer
-    from .sim import Simulator
-
-    digests, violation_total = [], 0
-    for run_index in range(args.runs):
-        sim = Simulator()
-        sanitizer = Sanitizer().attach(sim)
-        with sanitizer.watch_rng():
-            run = _observed_run(args, sim)
-            if run is None:
-                return 2
-            _spec, result = run
-            # Drain in-flight teardowns before auditing.
-            sim.run(until=sim.now + 500.0)
-        violations = sanitizer.check() + (
-            result.violations if result.violations is not None
-            else result.host.check_invariants())
-        violation_total += len(violations)
-        digests.append(result.digest)
-        print("run %d: %d events, %d failed create(s), digest %s"
-              % (run_index + 1, result.events,
-                 result.stats["create_failed"], result.digest))
-        for violation in violations:
-            print("  violation: %s" % violation)
-    identical = len(set(digests)) == 1
-    print("sanitizers: %s" % ("clean" if not violation_total
-                              else "%d violation(s)" % violation_total))
-    print("replay: %s" % ("IDENTICAL" if identical else "DIVERGED"))
-    return 0 if identical and not violation_total else 1
-
-
-def _traced_run(args):
-    """``args.spec`` run with a tracer (and its metrics registry)
-    attached: ``(spec, result, tracer)``, or ``None`` on a spec error."""
-    from .sim import Simulator
-    from .trace import MetricsRegistry, Tracer
-
-    sim = Simulator()
-    tracer = Tracer(metrics=MetricsRegistry(sim=sim)).attach(sim)
-    run = _observed_run(args, sim)
-    return None if run is None else run + (tracer,)
-
-
-def _cmd_trace(args) -> int:
-    from .trace import (phase_attribution, render_attribution,
-                        render_span_summary, write_chrome_trace)
-
-    run = _traced_run(args)
-    if run is None:
-        return 2
-    spec, _result, tracer = run
-    print("traced %d x %s under %s: %d spans on %d tracks"
-          % (spec.guests, spec.guest.image, spec.host.variant,
-             len(tracer.spans), len(tracer.track_names)))
-    totals = phase_attribution(tracer)
-    if totals:
-        print()
-        print(render_attribution(totals, count=spec.guests))
-    print()
-    print(render_span_summary(tracer))
-    if args.out:
-        events = write_chrome_trace(tracer, args.out)
-        print()
-        print("wrote %d trace events to %s "
-              "(load in Perfetto or chrome://tracing)" % (events, args.out))
-    return 0
-
-
-def _cmd_metrics(args) -> int:
-    import json
-
-    from .trace import collect_host_metrics
-
-    run = _traced_run(args)
-    if run is None:
-        return 2
-    _spec, result, tracer = run
-    registry = collect_host_metrics(result.host, tracer.metrics)
-    if args.json:
-        print(json.dumps(registry.as_dict(), indent=2, sort_keys=True))
-    else:
-        print(registry.render())
-    return 0
-
-
 def _load_spec(command: str, path: str):
     """The spec at ``path``, or ``None`` once the error is printed."""
     from .stdlib import ComponentError, SpecError, load_spec
@@ -432,22 +281,6 @@ def _load_spec(command: str, path: str):
         print("repro %s: error: %s: %s" % (command, path, exc),
               file=sys.stderr)
     return None
-
-
-def _observed_run(args, sim):
-    """``args.spec`` run once at ``args.seed`` on ``sim`` (observers
-    attached) as ``(spec, result)``, or ``None`` once the error is
-    printed.  A cluster spec or a non-VM guest is a ``SpecTypeError``."""
-    from .stdlib import SpecError, run_scenario
-    spec = _load_spec(args.command, args.spec)
-    if spec is None:
-        return None
-    try:
-        return spec, run_scenario(spec, args.seed, keep_host=True, sim=sim)
-    except SpecError as exc:
-        print("repro %s: error: %s: %s" % (args.command, args.spec, exc),
-              file=sys.stderr)
-        return None
 
 
 def _cmd_chaos(args) -> int:
@@ -487,16 +320,111 @@ def _cmd_chaos(args) -> int:
     return 1 if reproducers else 0
 
 
+def _print_trace(spec, tracer, path: str, out) -> None:
+    """The span tracer's report, and its Perfetto file at ``path``."""
+    from .trace import (phase_attribution, render_attribution,
+                        render_span_summary, write_chrome_trace)
+    blocks = ["traced %d x %s under %s: %d spans on %d tracks"
+              % (spec.guests, spec.guest.image, spec.host.variant,
+                 len(tracer.spans), len(tracer.track_names))]
+    totals = phase_attribution(tracer)
+    if totals:
+        blocks.append(render_attribution(totals, count=spec.guests))
+    blocks.append(render_span_summary(tracer))
+    blocks.append("wrote %d trace events to %s (load in Perfetto or "
+                  "chrome://tracing)" % (write_chrome_trace(tracer, path),
+                                         path))
+    print("\n" + "\n\n".join(blocks), file=out)
+
+
+def _run_in_process(args, spec, seed: int, out):
+    """Run one seed of a single-host VM spec here, observers attached,
+    and print their reports to ``out``: ``(first run's result,
+    --metrics registry dict or None, clean)``.  Trace and metrics are
+    taken from the first run before any drain; ``--sanitize`` runs the
+    seed twice in this process, so state leaking from one run into the
+    next shows.  A cluster spec or a non-VM guest is a SpecTypeError."""
+    import contextlib
+
+    from .analysis import Sanitizer
+    from .sim import Simulator
+    from .stdlib import run_scenario
+    from .trace import MetricsRegistry, Tracer, collect_host_metrics
+
+    first, metrics, digests, violation_total = None, None, [], 0
+    for run_index in range(2 if args.sanitize else 1):
+        sim = Simulator()
+        sanitizer = Sanitizer().attach(sim) if args.sanitize else None
+        tracer = None
+        if run_index == 0 and (args.trace or args.metrics):
+            tracer = Tracer(metrics=MetricsRegistry(sim=sim)).attach(sim)
+        with (sanitizer.watch_rng() if sanitizer is not None
+              else contextlib.nullcontext()):
+            result = run_scenario(spec, seed, keep_host=True, sim=sim)
+            if tracer is not None and args.trace:
+                _print_trace(spec, tracer, args.trace, out)
+            if tracer is not None and args.metrics:
+                registry = collect_host_metrics(result.host, tracer.metrics)
+                metrics = registry.as_dict()
+                if not args.json:
+                    print(file=out)
+                    print(registry.render(), file=out)
+            if run_index == 0:
+                first = result
+            if sanitizer is None:
+                return first, metrics, True
+            # Drain in-flight teardowns before auditing.
+            sim.run(until=sim.now + 500.0)
+        violations = sanitizer.check() + (
+            result.violations if result.violations is not None
+            else result.host.check_invariants())
+        violation_total += len(violations)
+        if not digests:
+            print(file=out)
+        digests.append(result.digest)
+        print("run %d: %d events, %d failed create(s), digest %s"
+              % (run_index + 1, result.events,
+                 result.stats["create_failed"], result.digest), file=out)
+        for violation in violations:
+            print("  violation: %s" % violation, file=out)
+    identical = len(set(digests)) == 1
+    print("sanitizers: %s" % ("clean" if not violation_total
+                              else "%d violation(s)" % violation_total),
+          file=out)
+    print("replay: %s" % ("IDENTICAL" if identical else "DIVERGED"),
+          file=out)
+    return first, metrics, identical and not violation_total
+
+
+def _print_guest_table(result) -> None:
+    """Ten sampled guests' create/boot times, then the create spread."""
+    creates = result.series["create_ms"]
+    boots = result.series["boot_ms"]
+    if not creates:
+        return
+    print()
+    print("%-8s %12s %12s" % ("n", "create(ms)", "boot(ms)"))
+    for index in sample_indices(len(creates), min(10, len(creates))):
+        print("%-8d %12.2f %12.2f" % (index + 1, creates[index],
+                                      boots[index]))
+    print("create: mean=%.2f median=%.2f p90=%.2f"
+          % (mean(creates), median(creates), percentile(creates, 90)))
+
+
 def _cmd_run(args) -> int:
     import json
     import time  # noqa: RPR002 -- wall-clock only annotates the CLI report; it is read outside the simulated timeline
 
     from .pool import clamp
     from .stdlib import (ComponentError, SpecError, SweepError,
-                         replay_manifest, run_sweep, workers_on_hosts,
-                         write_bench_json)
+                         replay_manifest, run_sweep, sweep_manifest,
+                         workers_on_hosts, write_bench_json)
 
+    observed = bool(args.sanitize or args.trace or args.metrics)
     if args.replay:
+        if observed:
+            args.parser_error("repro run --replay takes no observer flag "
+                              "(--sanitize, --trace, --metrics)")
         try:
             with open(args.replay) as handle:
                 payload = json.load(handle)
@@ -527,9 +455,28 @@ def _cmd_run(args) -> int:
         return 2
 
     seeds = args.seeds if args.seeds is not None else [args.seed]
+    if observed and len(seeds) > 1:
+        print("repro run: error: %s: field 'seeds': an observed run takes "
+              "one seed, got %d" % (args.spec, len(seeds)), file=sys.stderr)
+        return 2
     on_hosts = workers_on_hosts(spec, seeds, args.workers)
+    in_process = len(seeds) == 1 and (observed or (
+        spec.mode == "host" and spec.guest.runtime == "vm"))
+    result, clean, reports = None, True, io.StringIO()
     start = time.perf_counter()  # noqa: RPR002 -- wall-clock annotates the CLI report only, outside the timeline
-    manifest = run_sweep(spec, seeds, workers=args.workers)
+    if in_process:
+        try:
+            result, metrics, clean = _run_in_process(args, spec,
+                                                     seeds[0], reports)
+        except SpecError as exc:
+            print("repro run: error: %s: %s" % (args.spec, exc),
+                  file=sys.stderr)
+            return 2
+        manifest = sweep_manifest(spec, [result.record()])
+        if metrics is not None:
+            manifest["metrics"] = metrics
+    else:
+        manifest = run_sweep(spec, seeds, workers=args.workers)
     wall_s = time.perf_counter() - start  # noqa: RPR002 -- same wall-clock annotation as above
 
     if args.out:
@@ -541,7 +488,9 @@ def _cmd_run(args) -> int:
 
     if args.json:
         print(json.dumps(manifest, indent=2, sort_keys=True))
-        return 0
+        # Stdout holds only the manifest; the observers report on stderr.
+        sys.stderr.write(reports.getvalue())
+        return 0 if clean else 1
     print("scenario %s (mode %s): %d seed(s), %d worker(s) on %s, "
           "%.2f s wall"
           % (manifest["scenario"], manifest["mode"],
@@ -562,7 +511,10 @@ def _cmd_run(args) -> int:
         print("  wrote sweep manifest to %s" % args.out)
     if args.bench_out:
         print("  wrote BENCH-style JSON to %s" % args.bench_out)
-    return 0
+    if result is not None:
+        _print_guest_table(result)
+    sys.stdout.write(reports.getvalue())
+    return 0 if clean else 1
 
 
 def _cmd_components(args) -> int:
@@ -579,16 +531,6 @@ def _cmd_components(args) -> int:
     return 0
 
 
-def _spec_parser(sub, name: str, help_text: str):
-    """A subcommand that observes one run of a single-host VM spec."""
-    parser = sub.add_parser(name, help=help_text)
-    parser.add_argument("spec", help="host-mode scenario spec with a VM "
-                                     "guest (.yaml/.yml/.json)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed to run (default 0)")
-    return parser
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -597,22 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("images", help="list the guest image catalogue") \
         .set_defaults(fn=_cmd_images)
-
-    create = _spec_parser(sub, "create",
-                          "run a single-host VM scenario spec and print "
-                          "its per-guest create/boot times")
-    create.add_argument("--plot", action="store_true",
-                        help="render an ASCII chart of the series")
-    create.set_defaults(fn=_cmd_create)
-
-    checkpoint = sub.add_parser("checkpoint",
-                                help="save/restore round trips")
-    checkpoint.add_argument("--variant", choices=VARIANTS,
-                            default="lightvm")
-    checkpoint.add_argument("--image", default="daytime")
-    checkpoint.add_argument("--cycles", type=_positive_int, default=3)
-    checkpoint.add_argument("--seed", type=int, default=0)
-    checkpoint.set_defaults(fn=_cmd_checkpoint)
 
     tinyx = sub.add_parser("tinyx-build", help="build a Tinyx image")
     tinyx.add_argument("app")
@@ -695,28 +621,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "if --result is absent)")
     bench_gate.set_defaults(fn=_cmd_bench_gate)
 
-    sanitize = _spec_parser(
-        sub, "sanitize", "run a single-host VM scenario spec under the "
-                         "runtime sanitizers and compare replay digests")
-    sanitize.add_argument("--runs", type=_positive_int, default=2,
-                          help="independent runs to digest and compare")
-    sanitize.set_defaults(fn=_cmd_sanitize)
-
-    trace = _spec_parser(
-        sub, "trace", "run a single-host VM scenario spec under the span "
-                      "tracer (phase attribution + Perfetto export)")
-    trace.add_argument("--out", metavar="FILE",
-                       help="write a Chrome/Perfetto trace_event JSON "
-                            "file")
-    trace.set_defaults(fn=_cmd_trace)
-
-    metrics = _spec_parser(
-        sub, "metrics", "run a single-host VM scenario spec, then print "
-                        "the metrics registry")
-    metrics.add_argument("--json", action="store_true",
-                         help="emit the registry as JSON")
-    metrics.set_defaults(fn=_cmd_metrics)
-
     chaos = sub.add_parser(
         "chaos", help="sweep a recovery-enabled scenario spec, shrinking "
                       "each failing seed to a replayable manifest")
@@ -760,6 +664,17 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--replay", metavar="FILE",
                      help="re-run a sweep manifest and verify its "
                           "digest instead of reading a spec")
+    observe = run.add_argument_group(
+        "observers", "watch one seed of a single-host VM spec")
+    observe.add_argument("--sanitize", action="store_true",
+                         help="run it twice under the sanitizers and the "
+                              "invariant audit; exit 1 on any finding")
+    observe.add_argument("--trace", metavar="FILE",
+                         help="print its phase attribution and spans, and "
+                              "write a Perfetto trace_event file")
+    observe.add_argument("--metrics", action="store_true",
+                         help="print its metrics registry (--json: the "
+                              "manifest's 'metrics' key)")
     run.set_defaults(fn=_cmd_run)
 
     components = sub.add_parser(

@@ -35,6 +35,7 @@ import dataclasses
 import typing
 
 from ..analysis.sanitize import combine_digests
+from ..core.metrics import fold_stats
 from .config import ClusterConfig, ClusterConfigError
 from .controller import Controller
 from .messages import CONTROLLER, sort_canonical
@@ -151,17 +152,11 @@ class Cluster:
         events = 0
         sim_ms = 0.0
         stats: typing.Dict[str, float] = dict(controller.stats)
-        stats["guests_running"] = 0
         for summary in summaries:
             events += summary["events"]
             sim_ms = max(sim_ms, summary["sim_ms"])
-            stats["guests_running"] += summary["guests"]
-            for key in sorted(summary["counters"]):
-                value = summary["counters"][key]
-                if key in ("latency_ms_max",):
-                    stats[key] = max(stats.get(key, 0.0), value)
-                else:
-                    stats[key] = stats.get(key, 0) + value
+            fold_stats(stats, dict(summary["counters"],
+                                   guests_running=summary["guests"]))
         return ClusterResult(config=config, backend=self.backend_name,
                              workers=backend.workers,
                              epochs=epoch, sim_ms=sim_ms, events=events,

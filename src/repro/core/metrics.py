@@ -1,4 +1,4 @@
-"""Measurement helpers: percentiles, CDFs, series formatting.
+"""Measurement helpers: percentiles, CDFs, stats folding, series formatting.
 
 Small, dependency-free statistics used by the benchmarks to print the
 same rows/series the paper's figures report.
@@ -68,6 +68,27 @@ def cdf_points(values: typing.Sequence[float],
     if out[-1] != (ordered[-1], 1.0):
         out.append((ordered[-1], 1.0))
     return out
+
+
+def fold_stats(totals: typing.Dict[str, float],
+               stats: typing.Mapping[str, float]) -> typing.Dict[str, float]:
+    """Fold one run's (or one host's) ``stats`` into ``totals``.
+
+    Every key starts from the first value seen.  A latency key (one
+    containing ``_ms`` that does not end in ``_sum``) and ``died_at``
+    then keep the worst value, so ``died_at = -1`` survives; every other
+    key is a sum.  The sweep folds its seeds and a cluster its hosts
+    with this one rule.
+    """
+    for key in sorted(stats):
+        value = stats[key]
+        if key not in totals:
+            totals[key] = value
+        elif ("_ms" in key and not key.endswith("_sum")) or key == "died_at":
+            totals[key] = max(totals[key], value)
+        else:
+            totals[key] += value
+    return totals
 
 
 def sample_indices(total: int, samples: int) -> typing.List[int]:

@@ -13,6 +13,8 @@ Entry points:
 * ``run_scenario(spec, seed)`` — one run, one replay digest;
 * ``run_sweep(spec, seeds, workers)`` — the sweep manifest behind
   ``repro run``, the only CLI that runs a scenario;
+* ``sweep_manifest(spec, records)`` — the manifest of runs already made,
+  as ``repro run`` builds it for the one seed it runs in process;
 * ``preset(name)`` / ``storm_spec(...)`` — the standing experiments.
 """
 
@@ -30,7 +32,7 @@ from .spec import (MissingSpecKeyError, ScenarioSpec, SpecError,
                    SpecTypeError, UnknownSpecKeyError, load_spec, loads)
 from .sweep import (MANIFEST_VERSION, SweepError, bench_payload,
                     manifest_digest, replay_manifest, run_sweep,
-                    workers_on_hosts, write_bench_json)
+                    sweep_manifest, workers_on_hosts, write_bench_json)
 
 __all__ = [
     # components
@@ -45,8 +47,9 @@ __all__ = [
     "ScenarioSpec", "SpecError", "UnknownSpecKeyError",
     "MissingSpecKeyError", "SpecTypeError", "load_spec", "loads",
     # runner / sweep
-    "ScenarioResult", "run_scenario", "run_sweep", "replay_manifest",
-    "manifest_digest", "bench_payload", "write_bench_json",
+    "ScenarioResult", "run_scenario", "run_sweep", "sweep_manifest",
+    "replay_manifest", "manifest_digest", "bench_payload",
+    "write_bench_json",
     "workers_on_hosts",
     "SweepError", "MANIFEST_VERSION",
     # presets

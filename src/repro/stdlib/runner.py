@@ -16,8 +16,9 @@ A caller that wants to observe a single-host VM run passes its own
 :class:`~repro.analysis.sanitize.Sanitizer` or a
 :class:`~repro.analysis.witness.RaceWitness` already attached; the run
 attaches its :class:`~repro.analysis.sanitize.EventTrace` to that
-simulator and builds the host on it.  ``repro create``, ``sanitize``,
-``trace``, ``metrics`` and ``races --witness`` run that way.
+simulator and builds the host on it.  ``repro run`` runs one seed of
+such a spec that way (with ``--sanitize``, ``--trace`` or
+``--metrics`` attached, or none), and so does ``races --witness``.
 
 A host-mode run whose fault profile has ``recovery`` on is *audited*:
 after the storm the host is reaped, drained for 500 ms and checked for

@@ -19,6 +19,7 @@ import hashlib
 import json
 import typing
 
+from ..core.metrics import fold_stats
 from ..pool import WorkerPool, clamp
 from .runner import run_scenario
 from .spec import ScenarioSpec
@@ -102,7 +103,15 @@ def run_sweep(spec: ScenarioSpec, seeds: typing.Sequence[int],
                        for record in reply[1]]
         finally:
             pool.close()
-    records.sort(key=lambda record: record["seed"])
+    return sweep_manifest(spec, records)
+
+
+def sweep_manifest(spec: ScenarioSpec,
+                   records: typing.Sequence[dict]) -> dict:
+    """The manifest of ``spec`` run once per seed, from the runs'
+    :meth:`~repro.stdlib.runner.ScenarioResult.record` dicts (any order,
+    one per seed)."""
+    records = sorted(records, key=lambda record: record["seed"])
     spec_digest = spec.digest()
     totals: typing.Dict[str, float] = {}
     events = 0
@@ -110,15 +119,7 @@ def run_sweep(spec: ScenarioSpec, seeds: typing.Sequence[int],
     for record in records:
         events += record["events"]
         sim_ms = max(sim_ms, record["sim_ms"])
-        for key in sorted(record["stats"]):
-            value = record["stats"][key]
-            # Latencies/quantile-ish keys take the worst seed; counters
-            # and _sum keys accumulate across the sweep.
-            if (("_ms" in key and not key.endswith("_sum"))
-                    or key == "died_at"):
-                totals[key] = max(totals.get(key, value), value)
-            else:
-                totals[key] = totals.get(key, 0.0) + value
+        fold_stats(totals, record["stats"])
     return {"version": MANIFEST_VERSION,
             "tool": "repro run",
             "scenario": spec.name,
@@ -126,7 +127,7 @@ def run_sweep(spec: ScenarioSpec, seeds: typing.Sequence[int],
             "spec": dict(spec.source),
             "resolved": spec.canonical(),
             "spec_digest": spec_digest,
-            "seeds": sorted(seeds),
+            "seeds": [record["seed"] for record in records],
             "runs": records,
             "events": events,
             "sim_ms": sim_ms,
@@ -148,6 +149,8 @@ _REPLAY_FIELDS = (
      lambda value: isinstance(value, list) and bool(value)
      and all(_is_int(seed) for seed in value)
      and len(set(value)) == len(value)),
+    ("spec_digest", "a digest string",
+     lambda value: isinstance(value, str)),
     ("manifest_digest", "a digest string",
      lambda value: isinstance(value, str)),
 )
@@ -173,7 +176,7 @@ def replay_manifest(payload: dict, workers: int = 1
     spec = ScenarioSpec.from_dict(payload["spec"])
     result = run_sweep(spec, payload["seeds"], workers=workers)
     same = (result["manifest_digest"] == payload["manifest_digest"]
-            and result["spec_digest"] == payload.get("spec_digest"))
+            and result["spec_digest"] == payload["spec_digest"])
     return same, result
 
 

@@ -3,8 +3,8 @@
 :func:`collect_host_metrics` walks a live :class:`~repro.core.host.Host`
 and publishes its state through a :class:`MetricsRegistry`: domains by
 state, memory, CPU, hypercall counts, XenStore and noxs traffic, the
-shell pool, and the fault-injector tallies.  ``repro metrics`` prints
-it; it is the one host-wide stats view.  Repeated calls against the same
+shell pool, and the fault-injector tallies.  ``repro run --metrics``
+prints it; it is the one host-wide stats view.  Repeated calls against the same
 registry refresh gauges in place and reset counters to the subsystems'
 current values, so the registry always reflects "now".
 """

@@ -26,7 +26,7 @@ SPEC = {"name": "fuzz", "mode": "host", "host": "chaos+xs@1",
         "guest": "daytime@1", "traffic": "boot-storm@1",
         "faults": "chaos@1", "guests": 2}
 MANIFEST = {"version": 1, "spec": SPEC, "seeds": [0],
-            "manifest_digest": "0" * 64}
+            "spec_digest": "0" * 64, "manifest_digest": "0" * 64}
 RULE_KEYS = ("point", "probability", "at", "max_fires", "kind",
              "delay_ms")
 
@@ -81,6 +81,7 @@ ill_typed = {
                            or value != 1),
     "spec": junk.filter(lambda value: value != SPEC),
     "seeds": junk.filter(lambda value: not _valid_seeds(value)),
+    "spec_digest": junk.filter(lambda value: not isinstance(value, str)),
     "manifest_digest": junk.filter(lambda value: not isinstance(value,
                                                                 str)),
 }

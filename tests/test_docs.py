@@ -35,6 +35,28 @@ class TestDesignDoc:
                 module
 
 
+class TestCommandNames:
+    DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md",
+            ".github/workflows/ci.yml")
+
+    def test_docs_and_ci_name_real_subcommands(self):
+        import argparse
+
+        from repro.cli import build_parser
+        subcommands = next(
+            action.choices for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction))
+        for doc in self.DOCS:
+            text = (ROOT / doc).read_text()
+            named = re.findall(r"python -m repro\s+([a-z][\w-]*)", text)
+            named += re.findall(r"`repro ([a-z][\w-]*)", text)
+            for braces in re.findall(r"python -m repro\s+\{([^}]*)\}",
+                                     text):
+                named += re.findall(r"[a-z][\w-]*", braces)
+            for word in named:
+                assert word in subcommands, (doc, word)
+
+
 class TestExperimentsDoc:
     def test_every_figure_has_a_section(self):
         text = (ROOT / "EXPERIMENTS.md").read_text()

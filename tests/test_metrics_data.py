@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.metrics import (cdf_points, format_series, mean, median,
-                                percentile, sample_indices)
+from repro.core.metrics import (cdf_points, fold_stats, format_series,
+                                mean, median, percentile, sample_indices)
 from repro.data import SYSCALL_HISTORY, counts_by_year, growth_per_year
 
 
@@ -123,6 +123,27 @@ class TestSampling:
         assert percentile([10.0, 20.0], 50) == 15.0
         assert percentile([10.0, 20.0], 90) == pytest.approx(19.0)
         assert percentile([10.0, 20.0], 100) == 20.0
+
+
+class TestFoldStats:
+    def test_latencies_take_the_worst_and_counters_sum(self):
+        totals = fold_stats({}, {"booted": 3.0, "create_ms_max": 2.0,
+                                 "boot_ms_sum": 5.0, "latency_ms_max": 1.0})
+        fold_stats(totals, {"booted": 4.0, "create_ms_max": 1.5,
+                            "boot_ms_sum": 6.0, "latency_ms_max": 3.0})
+        assert totals == {"booted": 7.0, "create_ms_max": 2.0,
+                          "boot_ms_sum": 11.0, "latency_ms_max": 3.0}
+
+    def test_maxima_start_from_the_first_value(self):
+        # died_at = -1 ("never died") must survive a fold of such runs.
+        totals = fold_stats({}, {"died_at": -1.0, "start_ms_first": -0.5})
+        fold_stats(totals, {"died_at": -1.0, "start_ms_first": -2.0})
+        assert totals == {"died_at": -1.0, "start_ms_first": -0.5}
+
+    def test_folds_into_existing_totals(self):
+        totals = {"unplaced": 1}
+        assert fold_stats(totals, {"unplaced": 2, "served": 3}) is totals
+        assert totals == {"unplaced": 3, "served": 3}
 
 
 class TestFormatSeries:

@@ -66,7 +66,7 @@ class TestSnapshot:
             "name": "stats", "mode": "host", "host": "chaos+noxs@1",
             "guest": "daytime@1", "traffic": "boot-storm@1",
             "guests": 2}))
-        assert main(["metrics", str(spec)]) == 0
+        assert main(["run", str(spec), "--metrics"]) == 0
         out = capsys.readouterr().out
         assert "noxs/devices_created" in out
         assert "domains/running" in out

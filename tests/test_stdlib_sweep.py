@@ -142,11 +142,13 @@ class TestReplay:
         ("spec", None), ("spec", "boot-storm"),
         ("seeds", None), ("seeds", "0..3"), ("seeds", []),
         ("seeds", [0, "1"]), ("seeds", [1, 1]),
+        ("spec_digest", None), ("spec_digest", 7),
         ("manifest_digest", None), ("manifest_digest", 7),
     ])
     def test_malformed_manifest_names_the_field(self, field, value):
         manifest = {"version": 1, "spec": dict(_spec().source),
-                    "seeds": [0], "manifest_digest": "0" * 64}
+                    "seeds": [0], "spec_digest": "0" * 64,
+                    "manifest_digest": "0" * 64}
         if value is None:
             del manifest[field]
         else:
