@@ -283,12 +283,26 @@ def _load_spec(command: str, path: str):
     return None
 
 
+def _check_output_dirs(args, *flags: str) -> None:
+    """Exit 2 naming the flag, before anything runs, when an output
+    file's directory does not exist: the write comes only after the
+    whole run."""
+    import os
+    for flag in flags:
+        path = getattr(args, flag[2:].replace("-", "_"))
+        directory = os.path.dirname(path) if path else ""
+        if directory and not os.path.isdir(directory):
+            args.parser_error("argument %s: directory %r does not exist"
+                              % (flag, directory))
+
+
 def _cmd_chaos(args) -> int:
     import json
 
     from .recovery import campaign
     from .stdlib import SpecError
 
+    _check_output_dirs(args, "--out")
     spec = _load_spec("chaos", args.spec)
     if spec is None:
         return 2
@@ -450,6 +464,7 @@ def _cmd_run(args) -> int:
     if args.spec is None:
         args.parser_error("repro run needs a scenario spec file "
                           "(or --replay FILE)")
+    _check_output_dirs(args, "--out", "--bench-out", "--trace")
     spec = _load_spec("run", args.spec)
     if spec is None:
         return 2

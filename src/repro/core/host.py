@@ -29,7 +29,7 @@ from ..sim.rng import RngRegistry
 from ..toolstack.chaos import ChaosToolstack
 from ..toolstack.config import VMConfig
 from ..toolstack.hotplug import BashHotplug, Xendevd
-from ..toolstack.migration import Checkpointer, MigrationCosts
+from ..toolstack.migration import Checkpointer
 from ..toolstack.phases import CreationRecord
 from ..toolstack.power import PowerManager
 from ..toolstack.shellpool import ChaosDaemon
@@ -39,6 +39,8 @@ from .hostspec import HostSpec, XEON_E5_1630
 
 #: The Figure 9 configuration names.
 VARIANTS = ("xl", "chaos+xs", "chaos+xs+split", "chaos+noxs", "lightvm")
+#: The variants that run a XenStore daemon (the others run noxs).
+XENSTORE_VARIANTS = ("xl", "chaos+xs", "chaos+xs+split")
 
 
 class Host:
@@ -83,7 +85,7 @@ class Host:
         self.sysctl: typing.Optional[SysctlBackend] = None
         self.daemon: typing.Optional[ChaosDaemon] = None
 
-        uses_xenstore = variant in ("xl", "chaos+xs", "chaos+xs+split")
+        uses_xenstore = variant in XENSTORE_VARIANTS
         uses_split = variant in ("chaos+xs+split", "lightvm")
 
         if uses_xenstore:
@@ -232,6 +234,3 @@ class Host:
         first (async teardowns legitimately hold resources briefly)."""
         from ..faults.invariants import check_host
         return check_host(self)
-
-    def set_migration_costs(self, costs: MigrationCosts) -> None:
-        self.checkpointer.costs = costs

@@ -21,7 +21,7 @@ import dataclasses
 import typing
 
 from ..cluster.placement import POLICIES
-from ..core.host import VARIANTS
+from ..core.host import VARIANTS, XENSTORE_VARIANTS
 from ..core.hostspec import HOST_SPECS, HostSpec
 from ..faults import FaultPlan, FaultRule
 from ..guests.catalog import CATALOG
@@ -39,7 +39,9 @@ class HostProfile(Component):
     ``pooled: false`` the host keeps its stock defaults — the Fig 4
     stock-Xen storms run that way.  Cluster nodes size and fill their
     pools themselves, so a cluster-mode spec may not override these
-    three parameters.
+    three parameters.  A noxs variant (``chaos+noxs``, ``lightvm``) runs
+    no XenStore, so its ``xenstore_workers`` and ``xenstore_batch`` keep
+    their defaults.
     """
 
     kind: typing.ClassVar[str] = "host"
@@ -55,6 +57,21 @@ class HostProfile(Component):
     domain = {"spec": HOST_SPECS, "variant": VARIANTS,
               "xenstore_workers": 1, "pool_slack": 0,
               "warmup_ms_per_shell": 0}
+
+    def validate(self) -> None:
+        super().validate()
+        if self.variant in XENSTORE_VARIANTS:
+            return
+        # A noxs host builds no daemon: a XenStore knob would move the
+        # spec digest and nothing else.
+        for name, default in (("xenstore_workers", 1),
+                              ("xenstore_batch", False)):
+            value = getattr(self, name)
+            if value != default:
+                raise ValueError(
+                    "parameter %r must be %r on variant %r, which runs "
+                    "no XenStore, got %r"
+                    % (name, default, self.variant, value))
 
     def host_spec(self) -> HostSpec:
         return HOST_SPECS[self.spec]
@@ -326,13 +343,6 @@ for _variant in ("xl", "chaos+xs", "chaos+xs+split", "chaos+noxs",
 register(HostProfile(name="lightvm-64core", version=1,
                      spec="amd-opteron-64", variant="lightvm",
                      warmup_ms_per_shell=12.0))
-
-#: The PR-5 batched multi-worker control plane, as a distinct component
-#: (the ablation configuration — never silently substituted for
-#: ``lightvm@1``, which the Fig 10 gate pins to workers=1).
-register(HostProfile(name="lightvm-batched", version=1,
-                     variant="lightvm", xenstore_workers=4,
-                     xenstore_batch=True))
 
 #: Every catalogue image is a guest component at version 1: unikernel
 #: (noop/daytime/...), Tinyx, and full-VM (debian) footprints.

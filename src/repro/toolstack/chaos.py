@@ -34,9 +34,10 @@ from ..trace.tracer import tracer_of
 from ..xenstore.client import XsClient
 from ..xenstore.daemon import XenStoreDaemon
 from .config import VMConfig
-from .devices import XsDeviceManager, _patient_rm
+from .devices import XsDeviceManager
 from .hotplug import Xendevd
 from .phases import CreationRecord, PhaseRecorder
+from .plane import NoxsPlane, XsPlane
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..sim.engine import Simulator
@@ -106,6 +107,9 @@ class ChaosToolstack:
                                         backend_entries=3,
                                         rng=rng)
                         if xenstore is not None else None)
+        #: Guest control after creation.
+        self.plane = (NoxsPlane(self) if noxs is not None
+                      else XsPlane(self, roots=("/local/domain",)))
         self.created: typing.List[CreationRecord] = []
         #: Creations that failed and were rolled back.
         self.rollbacks = 0
@@ -343,39 +347,7 @@ class ChaosToolstack:
         self.rollbacks += 1
         tracer_of(self.sim).instant("chaos.rollback", config=config.name,
                                     domid=domain.domid)
-        if self.uses_noxs:
-            for _index, entry in list(domain.notes.get("noxs_devices", [])):
-                try:
-                    yield from self.noxs.ioctl_destroy_device(domain, entry)
-                except Exception:
-                    pass
-            sysctl_entry = domain.notes.pop(SysctlBackend.NOTE_KEY, None)
-            if sysctl_entry is not None:
-                try:
-                    yield from self.noxs.ioctl_destroy_device(domain,
-                                                              sysctl_entry)
-                except Exception:
-                    pass
-        else:
-            for kind, count in (("vif", len(config.vifs)),
-                                ("vbd", len(config.vbds))):
-                for index in range(count):
-                    try:
-                        yield from self.devices.destroy_device(domain, kind,
-                                                               index)
-                    except Exception:
-                        pass
-            yield from _patient_rm(self.sim, self.xs,
-                                   "/local/domain/%d" % domain.domid,
-                                   self.rng)
-            self.xenstore.watches.remove_for_domain(domain.domid)
-            weight = domain.notes.pop("xenstore_client", None)
-            if weight:
-                self.xenstore.unregister_client(weight)
-        try:
-            self.hypervisor.domctl_destroy(domain)
-        except Exception:
-            pass
+        yield from self.plane.rollback(domain, config)
 
     # ------------------------------------------------------------------
     # Destruction
@@ -393,29 +365,13 @@ class ChaosToolstack:
         if domain.state == DomainState.RUNNING:
             self.hypervisor.domctl_pause(domain)
         crash_check(self._crash_faults, intent, "paused")
-        if self.uses_noxs:
-            for _index, entry in domain.notes.get("noxs_devices", []):
-                yield from self.noxs.ioctl_destroy_device(domain, entry)
-            sysctl_entry = domain.notes.get(SysctlBackend.NOTE_KEY)
-            if sysctl_entry is not None:
-                yield from self.noxs.ioctl_destroy_device(domain,
-                                                          sysctl_entry)
-        else:
-            image = domain.image
-            if image is not None:
-                for index in range(image.vifs):
-                    yield from self.devices.destroy_device(domain, "vif",
-                                                           index)
-                for index in range(image.vbds):
-                    yield from self.devices.destroy_device(domain, "vbd",
-                                                           index)
+        yield from self.plane.destroy_devices(domain)
+        if self.xs is not None:
+            # The store-side phases exist only on the XenStore plane.
             crash_check(self._crash_faults, intent, "devices")
             yield from self.xs.rm("/local/domain/%d" % domain.domid)
             crash_check(self._crash_faults, intent, "xenstore")
-            self.xenstore.watches.remove_for_domain(domain.domid)
-            weight = domain.notes.pop("xenstore_client", None)
-            if weight:
-                self.xenstore.unregister_client(weight)
+        self.plane.detach(domain)
         self.hypervisor.domctl_destroy(domain)
         if intent is not None:
             intent.close()

@@ -1,16 +1,15 @@
 """Checkpointing (save/restore) and live migration (§5.1, §6.2).
 
-Two families of implementations share this module:
+One implementation serves every toolstack: libxc serializes the memory,
+the toolstack re-creates the domain on restore, and the toolstack's
+control plane (:mod:`repro.toolstack.plane`) suspends, resumes and
+releases the guest.  On xl, restore re-runs full XenStore device setup
+with bash hotplug and is the expensive direction (Fig 12b: ~550 ms), and
+both directions degrade as the XenStore loads up.  On LightVM's noxs
+plane, save ≈ 30 ms and restore ≈ 20 ms, flat in the number of running
+guests (Fig 12).
 
-* the **xl path**: suspend via the XenStore control node, serialize with
-  libxc, and re-create the domain — including full XenStore device setup
-  with bash hotplug — on restore.  Restore is the expensive direction
-  (Fig 12b: ~550 ms) and both directions degrade as the XenStore loads up.
-* the **LightVM path**: suspend through the noxs sysctl device, serialize
-  with libxc, and re-create through chaos's noxs path.  Save ≈ 30 ms and
-  restore ≈ 20 ms, flat in the number of running guests (Fig 12).
-
-Migration (Fig 13) composes the two: chaos "open[s] a TCP connection to a
+Migration (Fig 13) follows chaos: it "open[s] a TCP connection to a
 migration daemon running on the remote host and ... send[s] the guest's
 configuration so that the daemon pre-creates the domain and creates the
 devices", then suspends the guest and streams its memory.
@@ -77,10 +76,7 @@ class Checkpointer:
     # Helpers
     # ------------------------------------------------------------------
     def _is_xl(self) -> bool:
-        return getattr(self.toolstack, "name", "") == "xl"
-
-    def _uses_noxs(self) -> bool:
-        return getattr(self.toolstack, "uses_noxs", False)
+        return self.toolstack.name == "xl"
 
     def _dump_ms(self, memory_kb: int) -> float:
         return (self.costs.libxc_fixed_ms
@@ -105,78 +101,17 @@ class Checkpointer:
         return saved
 
     def _save(self, domain: Domain, config: VMConfig):
-        ts = self.toolstack
         if self._is_xl():
             yield self.sim.timeout(self.costs.xl_save_overhead_ms)
-            yield from ts.suspend_guest(domain)
-        elif self._uses_noxs():
-            yield self.sim.timeout(self.costs.chaos_overhead_ms)
-            yield from ts.sysctl.request_suspend(domain)
         else:
-            # chaos on the XenStore plane: control-node suspend, but with
-            # chaos's lean tooling around it.
             yield self.sim.timeout(self.costs.chaos_overhead_ms)
-            yield from ts.xs.write(
-                "/local/domain/%d/control/shutdown" % domain.domid,
-                "suspend")
-            yield self.sim.timeout(3.0)
-            weight = domain.notes.pop("xenstore_client", None)
-            if weight:
-                ts.xenstore.unregister_client(weight)
-            from ..hypervisor.domain import ShutdownReason
-            ts.hypervisor.domctl_shutdown(domain, ShutdownReason.SUSPEND)
-
+        yield from self.toolstack.plane.suspend(domain)
         # libxc: stream guest memory to the ramdisk.
         memory_kb = domain.memory_kb
         yield self.sim.timeout(self._dump_ms(memory_kb))
-        if self._uses_noxs() and not self._is_xl():
-            # The checkpoint is durable now; noxs back-end device
-            # destruction (the unoptimized path) proceeds asynchronously
-            # so it does not inflate the reported save time.  Migration,
-            # by contrast, waits for it (Fig 13's low-N crossover).
-            entries = list(domain.notes.get("noxs_devices", []))
-            from ..noxs.sysctl import SysctlBackend
-            sysctl_entry = domain.notes.get(SysctlBackend.NOTE_KEY)
-            ts = self.toolstack
-            ts.hypervisor.domctl_destroy(domain)
-            self.sim.process(self._async_noxs_teardown(domain, entries,
-                                                       sysctl_entry))
-        else:
-            yield from self._teardown_saved(domain)
+        yield from self.toolstack.plane.release_saved(domain)
         return SavedImage(config=config, memory_kb=memory_kb,
                           saved_at=self.sim.now)
-
-    def _async_noxs_teardown(self, domain: Domain, entries, sysctl_entry):
-        """Process: back-end device destruction after an async save."""
-        ts = self.toolstack
-        for _index, entry in entries:
-            yield from ts.noxs.ioctl_destroy_device(domain, entry)
-        if sysctl_entry is not None:
-            yield from ts.noxs.ioctl_destroy_device(domain, sysctl_entry)
-
-    def _teardown_saved(self, domain: Domain):
-        """Generator: release the suspended domain's local resources."""
-        ts = self.toolstack
-        if self._is_xl() or not self._uses_noxs():
-            # XenStore cleanup (device dirs, domain dir).
-            if domain.image is not None:
-                for index in range(domain.image.vifs):
-                    yield from ts.devices.destroy_device(domain, "vif",
-                                                         index)
-                for index in range(domain.image.vbds):
-                    yield from ts.devices.destroy_device(domain, "vbd",
-                                                         index)
-            yield from ts.xs.rm("/local/domain/%d" % domain.domid)
-            ts.xenstore.watches.remove_for_domain(domain.domid)
-        else:
-            for _index, entry in domain.notes.get("noxs_devices", []):
-                yield from ts.noxs.ioctl_destroy_device(domain, entry)
-            from ..noxs.sysctl import SysctlBackend
-            sysctl_entry = domain.notes.get(SysctlBackend.NOTE_KEY)
-            if sysctl_entry is not None:
-                yield from ts.noxs.ioctl_destroy_device(domain,
-                                                        sysctl_entry)
-        ts.hypervisor.domctl_destroy(domain)
 
     # ------------------------------------------------------------------
     # Restore
@@ -205,14 +140,7 @@ class Checkpointer:
         yield self.sim.timeout(self._load_ms(saved.memory_kb))
         domain.image = saved.config.image
         # Resume (no kernel boot: the guest continues where it stopped).
-        if self._uses_noxs():
-            yield from ts.sysctl.complete_resume(domain)
-        else:
-            ts.hypervisor.domctl_unpause(domain)
-            yield self.sim.timeout(1.0)  # guest-side reconnect
-            ts.xenstore.register_client(saved.config.image.ambient_weight)
-            domain.notes["xenstore_client"] = \
-                saved.config.image.ambient_weight
+        yield from ts.plane.resume(domain, saved.config.image.ambient_weight)
         return domain
 
 
@@ -281,21 +209,7 @@ def _migrate(source: Checkpointer, destination: Checkpointer,
         intent.advance("pre_created")
 
     # Suspend the source guest.
-    ts = source.toolstack
-    if source._is_xl():
-        yield from ts.suspend_guest(domain)
-    elif source._uses_noxs():
-        yield from ts.sysctl.request_suspend(domain)
-    else:
-        yield from ts.xs.write(
-            "/local/domain/%d/control/shutdown" % domain.domid,
-            "suspend")
-        yield sim.timeout(3.0)
-        weight = domain.notes.pop("xenstore_client", None)
-        if weight:
-            ts.xenstore.unregister_client(weight)
-        from ..hypervisor.domain import ShutdownReason
-        ts.hypervisor.domctl_shutdown(domain, ShutdownReason.SUSPEND)
+    yield from source.toolstack.plane.suspend(domain)
 
     # Stream the guest memory over the wire (libxc send path).
     memory_kb = domain.memory_kb
@@ -324,22 +238,12 @@ def _migrate(source: Checkpointer, destination: Checkpointer,
             % config.name)
     yield from link.transfer(memory_kb)
 
-    # Tear down on the source, resume on the destination.
-    yield from source._teardown_saved(domain)
+    # Tear down on the source, resume on the destination (whose daemon,
+    # on the XenStore, now carries the guest's ambient traffic).
+    yield from source.toolstack.plane.release(domain)
     yield sim.timeout(destination.costs.libxc_fixed_ms)
-    if destination._uses_noxs():
-        yield from destination.toolstack.sysctl.complete_resume(
-            remote_domain)
-    else:
-        destination.toolstack.hypervisor.domctl_unpause(remote_domain)
-        yield sim.timeout(1.0)  # guest-side reconnect
-        # The resumed guest's xenbus is live on the destination daemon:
-        # register its ambient traffic there (mirrors _restore; without
-        # this the migrated-in guest ran load-free forever and the
-        # ambient-weight invariant had a hole).
-        weight = config.image.ambient_weight
-        destination.toolstack.xenstore.register_client(weight)
-        remote_domain.notes["xenstore_client"] = weight
+    yield from destination.toolstack.plane.resume(
+        remote_domain, config.image.ambient_weight)
     if intent is not None:
         intent.close()
     return remote_domain
@@ -350,16 +254,8 @@ def _abort_migration(source: Checkpointer, destination: Checkpointer,
                      remote_domain: Domain):
     """Generator: undo a half-done migration — resume the suspended
     source guest and destroy the pre-created destination domain."""
-    sim = source.sim
-    ts = source.toolstack
-    if source._uses_noxs():
-        yield from ts.sysctl.complete_resume(domain)
-    else:
-        ts.hypervisor.domctl_unpause(domain)
-        yield sim.timeout(1.0)  # guest-side reconnect
-        weight = config.image.ambient_weight
-        ts.xenstore.register_client(weight)
-        domain.notes["xenstore_client"] = weight
+    yield from source.toolstack.plane.resume(domain,
+                                             config.image.ambient_weight)
     try:
         yield from destination.toolstack.destroy_vm(remote_domain)
     except Exception:

@@ -9,7 +9,9 @@ For a VM, pause is a single hypercall (stop scheduling the vCPUs) and is
 therefore inherently fast on *any* toolstack; the toolstack only adds its
 command overhead.  A paused guest stops exerting idle CPU load but keeps
 its memory reservation — pausing raises density on CPU, not on RAM
-(unless combined with checkpointing).
+(unless combined with checkpointing).  On the XenStore its xenbus goes
+quiet too: the toolstack's control plane (:mod:`repro.toolstack.plane`)
+takes its weight off the ambient ledger until unpause.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ class PowerManager:
         self.costs = costs or PowerCosts()
 
     def _overhead_ms(self) -> float:
-        if getattr(self.toolstack, "name", "") == "xl":
+        if self.toolstack.name == "xl":
             return self.costs.xl_overhead_ms
         return self.costs.chaos_overhead_ms
 
@@ -60,10 +62,9 @@ class PowerManager:
         yield self.sim.timeout(self._overhead_ms())
         self.hypervisor.domctl_pause(domain)
         # On the XenStore plane a frozen guest also stops its ambient
-        # xenbus chatter.
-        weight = domain.notes.pop("xenstore_client", None)
-        if weight and self.toolstack.xenstore is not None:
-            self.toolstack.xenstore.unregister_client(weight)
+        # xenbus chatter; its weight is parked until unpause.
+        weight = self.toolstack.plane.disconnect(domain)
+        if weight:
             domain.notes["paused_xenstore_weight"] = weight
         yield self.sim.timeout(self.costs.hypercall_ms)
 
@@ -82,13 +83,8 @@ class PowerManager:
                                % domain.domid)
         yield self.sim.timeout(self._overhead_ms())
         self.hypervisor.domctl_shutdown(domain, ShutdownReason.REBOOT)
-        weight = domain.notes.pop("xenstore_client", None)
-        if weight and self.toolstack.xenstore is not None:
-            self.toolstack.xenstore.unregister_client(weight)
-        if self.toolstack.xenstore is not None:
-            # The dying kernel's xenbus watches disappear with it.
-            self.toolstack.xenstore.watches.remove_for_domain(
-                domain.domid)
+        # The dying kernel's xenbus connection and watches go with it.
+        self.toolstack.plane.detach(domain)
         # Reload the kernel image into the existing reservation.
         yield self.sim.timeout(image.kernel_size_kb / 1000.0)
         domain.state = DomainState.CREATED
@@ -104,9 +100,8 @@ class PowerManager:
         yield self.sim.timeout(self._overhead_ms())
         self.hypervisor.domctl_unpause(domain)
         weight = domain.notes.pop("paused_xenstore_weight", None)
-        if weight and self.toolstack.xenstore is not None:
-            self.toolstack.xenstore.register_client(weight)
-            domain.notes["xenstore_client"] = weight
+        if weight:
+            self.toolstack.plane.connect(domain, weight)
         if domain.image is not None and domain.image.idle_cpu_weight:
             self.hypervisor.scheduler.set_idle_load(
                 domain, domain.image.idle_cpu_weight)

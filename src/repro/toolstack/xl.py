@@ -16,15 +16,16 @@ from ..faults.plan import ToolstackCrashed, TransientHypercallError
 from ..faults.retry import RetryExhausted, RetryPolicy, retry_call
 from ..guests.boot import boot_guest
 from ..recovery.intents import crash_check
-from ..hypervisor.domain import Domain, DomainState, ShutdownReason
+from ..hypervisor.domain import Domain, DomainState
 from ..hypervisor.hypervisor import DOM0_ID, Hypervisor
 from ..trace.tracer import tracer_of
 from ..xenstore.client import XsClient
 from ..xenstore.daemon import XenStoreDaemon
 from .config import VMConfig
-from .devices import XsDeviceManager, _patient_rm
+from .devices import XsDeviceManager
 from .hotplug import BashHotplug
 from .phases import CreationRecord, PhaseRecorder
+from .plane import XsPlane
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..sim.engine import Simulator
@@ -88,6 +89,8 @@ class XlToolstack:
                                        frontend_entries=5,
                                        backend_entries=6,
                                        rng=rng)
+        #: Guest control after creation: store subtrees under both roots.
+        self.plane = XsPlane(self, roots=("/local/domain", "/vm"))
         #: CreationRecords in creation order.
         self.created: typing.List[CreationRecord] = []
         #: Creations that failed and were rolled back.
@@ -243,38 +246,11 @@ class XlToolstack:
                 % config.name) from exc
 
     def _rollback_create(self, domain: Domain, config: VMConfig):
-        """Generator: best-effort teardown of a failed creation.
-
-        Every step is independent and tolerant of not-yet-created state,
-        so however far creation got, nothing it allocated survives: device
-        entries (plus their ports/grants/bridge ports), the domain's
-        XenStore subtrees, its watches and its hypervisor resources.
-        """
+        """Generator: roll a failed creation back (XsPlane.rollback)."""
         self.rollbacks += 1
         tracer_of(self.sim).instant("xl.rollback", config=config.name,
                                     domid=domain.domid)
-        for index in range(len(config.vifs)):
-            try:
-                yield from self.devices.destroy_device(domain, "vif", index)
-            except Exception:
-                pass
-        for index in range(len(config.vbds)):
-            try:
-                yield from self.devices.destroy_device(domain, "vbd", index)
-            except Exception:
-                pass
-        yield from _patient_rm(self.sim, self.xs,
-                               "/local/domain/%d" % domain.domid, self.rng)
-        yield from _patient_rm(self.sim, self.xs,
-                               "/vm/%d" % domain.domid, self.rng)
-        self.xenstore.watches.remove_for_domain(domain.domid)
-        weight = domain.notes.pop("xenstore_client", None)
-        if weight:
-            self.xenstore.unregister_client(weight)
-        try:
-            self.hypervisor.domctl_destroy(domain)
-        except Exception:
-            pass
+        yield from self.plane.rollback(domain, config)
 
     # ------------------------------------------------------------------
     # Destruction
@@ -289,41 +265,14 @@ class XlToolstack:
             if domain.state == DomainState.RUNNING:
                 self.hypervisor.domctl_pause(domain)
             crash_check(self._crash_faults, intent, "paused")
-            image = domain.image
-            if image is not None:
-                for index in range(image.vifs):
-                    yield from self.devices.destroy_device(domain, "vif",
-                                                           index)
-                for index in range(image.vbds):
-                    yield from self.devices.destroy_device(domain, "vbd",
-                                                           index)
+            yield from self.plane.destroy_devices(domain)
             crash_check(self._crash_faults, intent, "devices")
             with self.xs.batch() as batch:
-                batch.rm("/local/domain/%d" % domain.domid)
-                batch.rm("/vm/%d" % domain.domid)
+                for root in self.plane.roots:
+                    batch.rm("%s/%d" % (root, domain.domid))
                 yield from batch.commit()
             crash_check(self._crash_faults, intent, "xenstore")
-            self.xenstore.watches.remove_for_domain(domain.domid)
-            weight = domain.notes.pop("xenstore_client", None)
-            if weight:
-                self.xenstore.unregister_client(weight)
+            self.plane.detach(domain)
             self.hypervisor.domctl_destroy(domain)
             if intent is not None:
                 intent.close()
-
-    # ------------------------------------------------------------------
-    # Shutdown helper used by save/migrate
-    # ------------------------------------------------------------------
-    def suspend_guest(self, domain: Domain):
-        """Generator: ask the guest to suspend via the XenStore control
-        node, then wait for it to acknowledge (the pre-noxs way)."""
-        with tracer_of(self.sim).span("xl.suspend", domid=domain.domid):
-            control = "/local/domain/%d/control/shutdown" % domain.domid
-            yield from self.xs.write(control, "suspend")
-            # Guest-side: reads the node, quiesces, saves state.
-            yield self.sim.timeout(3.0)
-            weight = domain.notes.pop("xenstore_client", None)
-            if weight:
-                self.xenstore.unregister_client(weight)
-            self.hypervisor.domctl_shutdown(domain,
-                                            ShutdownReason.SUSPEND)

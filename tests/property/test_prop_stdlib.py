@@ -21,7 +21,9 @@ from repro.stdlib import (ComponentOverrideError, ScenarioSpec,
 from repro.stdlib.presets import BOOT_STORM
 
 hosts = st.sampled_from(["xl@1", "lightvm@1", "chaos+xs@1",
-                         "chaos+noxs@1", "lightvm-batched@1"])
+                         "chaos+noxs@1",
+                         {"ref": "chaos+xs@1", "xenstore_workers": 4,
+                          "xenstore_batch": True}])
 vm_images = st.sampled_from(["daytime@1", "noop@1", "tinyx@1"])
 faults = st.sampled_from(["none@1", "light@1", "heavy@1", "chaos@1"])
 

@@ -225,6 +225,22 @@ class TestCommands:
         assert "field %r" % field in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, flag", [
+        ("run", "--out"), ("run", "--bench-out"), ("run", "--trace"),
+        ("chaos", "--out")])
+    def test_missing_output_directory_exits_2_before_running(
+            self, tmp_path, capsys, command, flag):
+        spec = (str(EXAMPLES / "chaos_storm.yaml") if command == "chaos"
+                else _spec(tmp_path))
+        missing = str(tmp_path / "missing" / "out.json")
+        with pytest.raises(SystemExit) as exit_:
+            main([command, spec, "--seeds", "0..0", flag, missing])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert "argument %s" % flag in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""  # nothing ran
+
     def test_container_spec_runs_without_guest_table(self, tmp_path,
                                                      capsys):
         # Without an observer flag a container storm is an ordinary

@@ -54,6 +54,19 @@ class TestComponentWiring:
         assert isinstance(Host(variant="lightvm").toolstack.hotplug,
                           Xendevd)
 
+    @pytest.mark.parametrize("variant, roots", [
+        ("xl", ("/local/domain", "/vm")), ("chaos+xs", ("/local/domain",)),
+        ("chaos+xs+split", ("/local/domain",)), ("chaos+noxs", None),
+        ("lightvm", None)])
+    def test_control_plane(self, variant, roots):
+        from repro.toolstack.plane import NoxsPlane, XsPlane
+        plane = Host(variant=variant).toolstack.plane
+        if roots is None:
+            assert isinstance(plane, NoxsPlane)
+        else:
+            assert isinstance(plane, XsPlane)
+            assert plane.roots == roots
+
     def test_toolstack_names(self):
         assert Host(variant="xl").toolstack.name == "xl"
         assert Host(variant="lightvm").toolstack.name == "chaos+noxs+split"

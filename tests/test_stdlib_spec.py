@@ -5,8 +5,8 @@ import copy
 import pytest
 
 from repro.cluster import Cluster
-from repro.stdlib import (ComponentError, MissingSpecKeyError,
-                          ScenarioSpec, SpecTypeError,
+from repro.stdlib import (ComponentError, ComponentOverrideError,
+                          MissingSpecKeyError, ScenarioSpec, SpecTypeError,
                           UnknownSpecKeyError, loads, preset, run_scenario)
 from repro.stdlib.presets import BOOT_STORM
 
@@ -218,7 +218,8 @@ class TestClusterLowering:
             config.create_start() + 32 * 7.0 / 2
 
     @pytest.mark.parametrize("host", [
-        "lightvm-batched@1",
+        {"ref": "chaos+xs@1", "xenstore_workers": 4,
+         "xenstore_batch": True},
         {"ref": "chaos+xs@1", "xenstore_workers": 4},
         {"ref": "chaos+xs@1", "xenstore_batch": True},
     ])
@@ -246,6 +247,24 @@ class TestClusterLowering:
                        "xenstore_batch": True}) == (
             "8a2f31cb67f632dfaca21c46f955f0ec"
             "99930c329df020f7275a14bec8a4d743")
+
+    @pytest.mark.parametrize("mode", ["host", "cluster"])
+    @pytest.mark.parametrize("key,value", [
+        ("xenstore_workers", 4), ("xenstore_batch", True)])
+    @pytest.mark.parametrize("ref", ["lightvm@1", "chaos+noxs@1"])
+    def test_noxs_host_rejects_xenstore_knobs(self, ref, key, value, mode):
+        # A noxs host builds no XenStore daemon, so the knob would move
+        # the spec digest and nothing else.
+        host = {"ref": ref, key: value}
+        with pytest.raises(ComponentOverrideError) as err:
+            if mode == "host":
+                ScenarioSpec.from_dict(dict(HOST_SPEC, host=host))
+            else:
+                preset("boot-storm", hosts=2, guests=4, requests=20,
+                       host=host)
+        assert err.value.field == "host"
+        assert repr(key) in str(err.value)
+        assert "runs no XenStore" in str(err.value)
 
     @pytest.mark.parametrize("key,value", [
         ("pool_slack", 200), ("warmup_ms_per_shell", 30.0),
