@@ -60,7 +60,7 @@ import dataclasses
 import fnmatch
 import typing
 
-from ..sim.rng import RngRegistry
+from ..sim.rng import RngRegistry, RngStream
 
 
 class InjectedFault(RuntimeError):
@@ -212,6 +212,12 @@ class FaultInjector:
         self.injected: typing.Dict[str, int] = {}
         self._rule_fires: typing.Dict[int, int] = {}
         self._rules = tuple(plan.rules) if plan is not None else ()
+        #: point -> the ``(index, rule)`` pairs whose pattern matches it,
+        #: in plan order (a point's matches never change).
+        self._matches: typing.Dict[
+            str, typing.Tuple[typing.Tuple[int, FaultRule], ...]] = {}
+        #: point -> its RNG stream, created at the point's first draw.
+        self._streams: typing.Dict[str, RngStream] = {}
 
     @property
     def enabled(self) -> bool:
@@ -219,9 +225,13 @@ class FaultInjector:
         return bool(self._rules)
 
     def _stream(self, point: str):
-        if self._rng is None:
-            self._rng = RngRegistry(self.plan.seed if self.plan else 0)
-        return self._rng.stream("fault/%s" % point)
+        stream = self._streams.get(point)
+        if stream is None:
+            if self._rng is None:
+                self._rng = RngRegistry(self.plan.seed if self.plan else 0)
+            stream = self._streams[point] = self._rng.stream(
+                "fault/%s" % point)
+        return stream
 
     def fires(self, point: str) -> typing.Optional[FaultRule]:
         """Count one occurrence of ``point``; return the firing rule."""
@@ -229,9 +239,12 @@ class FaultInjector:
             return None
         occurrence = self.occurrences.get(point, 0) + 1
         self.occurrences[point] = occurrence
-        for index, rule in enumerate(self._rules):
-            if not fnmatch.fnmatchcase(point, rule.point):
-                continue
+        matches = self._matches.get(point)
+        if matches is None:
+            matches = self._matches[point] = tuple(
+                (index, rule) for index, rule in enumerate(self._rules)
+                if fnmatch.fnmatchcase(point, rule.point))
+        for index, rule in matches:
             fired_so_far = self._rule_fires.get(index, 0)
             if rule.max_fires is not None and \
                     fired_so_far >= rule.max_fires:

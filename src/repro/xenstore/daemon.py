@@ -41,7 +41,7 @@ from ..sim.resources import Resource
 from ..trace.tracer import tracer_of
 from .accesslog import AccessLog
 from .protocol import XenStoreCosts
-from .store import NoEntError, XenStoreTree, split_path
+from .store import XenStoreTree, split_path
 from .transaction import Transaction, TransactionConflict
 from .watches import Watch, WatchManager
 
@@ -206,11 +206,6 @@ class XenStoreDaemon:
     # ------------------------------------------------------------------
     # Cost helpers
     # ------------------------------------------------------------------
-    def _impl_factor(self) -> float:
-        if self.implementation == "cxenstored":
-            return self.costs.cxenstored_multiplier
-        return 1.0
-
     def _load_factor(self) -> float:
         """Queueing inflation from ambient guest traffic: 1 / (1 - rho).
 
@@ -224,8 +219,16 @@ class XenStoreDaemon:
         return 1.0 / (1.0 - rho)
 
     def _op_latency_ms(self, extra_us: float = 0.0) -> float:
-        base = self.costs.op_base_ms() + extra_us / 1000.0
-        return base * self._impl_factor() * self._load_factor()
+        # The implementation factor, then :meth:`_load_factor` inlined on
+        # this hot path: the same float operations in the same order.
+        costs = self.costs
+        base = costs.op_base_ms() + extra_us / 1000.0
+        if self.implementation == "cxenstored":
+            base *= costs.cxenstored_multiplier
+        rho = min(costs.ambient_util_cap,
+                  self.ambient_clients * costs.ambient_util_per_client
+                  / self.workers)
+        return base * (1.0 / (1.0 - rho))
 
     def register_client(self, weight: float = 1.0) -> None:
         """A guest connected its xenbus (it is now running).
@@ -467,26 +470,33 @@ class XenStoreDaemon:
 
     def _fire_watches(self, path: str):
         """Generator: scan the registry and deliver matching events."""
-        scan_us = len(self.watches) * self.costs.watch_scan_us
+        costs = self.costs
+        scan_us = len(self.watches) * costs.watch_scan_us
+        impl = (costs.cxenstored_multiplier
+                if self.implementation == "cxenstored" else 1.0)
         rule = self.faults.fires("xenstore.watch")
         if rule is not None:
             # The delivery is dropped: the daemon still pays the scan but
             # no waiter is woken — they must time out and re-announce.
             self.stats["watch_drops"] += 1
-            delay = (scan_us / 1000.0 * self._impl_factor()
-                     * self._load_factor() + rule.delay_ms)
+            delay = (scan_us / 1000.0 * impl * self._load_factor()
+                     + rule.delay_ms)
             if delay:
                 yield self.sim.timeout(delay)
             return
         fired = self.watches.fire(path)
-        deliver_us = len(fired) * self.costs.watch_deliver_us
+        deliver_us = len(fired) * costs.watch_deliver_us
         self.stats["watch_events"] += len(fired)
         if fired:
             tracer_of(self.sim).instant("xenstore.watch_fire",
                                         delivered=len(fired))
-        delay = (scan_us + deliver_us) / 1000.0 * self._impl_factor()
+        delay = (scan_us + deliver_us) / 1000.0 * impl
         if delay:
-            yield self.sim.timeout(delay * self._load_factor())
+            # :meth:`_load_factor`, inlined; read after the callbacks ran.
+            rho = min(costs.ambient_util_cap,
+                      self.ambient_clients * costs.ambient_util_per_client
+                      / self.workers)
+            yield self.sim.timeout(delay * (1.0 / (1.0 - rho)))
 
     # ------------------------------------------------------------------
     # Simple (non-transactional) operations
@@ -557,18 +567,23 @@ class XenStoreDaemon:
         yield from self._fire_watches(path)
         yield from self._log_access()
 
+    def _remove(self, path: str) -> int:
+        """Remove the subtree at ``path`` (journaled, quota returned to
+        its owner); returns the nodes removed, 0 if it did not exist."""
+        node = self.tree._find(path)
+        if node is None:
+            return 0
+        removed = self.tree.rm(path)
+        if self.journal is not None:
+            self.journal.record_rm(path)
+        self._release_quota(node.owner_domid, removed)
+        return removed
+
     @_traced("xenstore.rm")
     def rm(self, domid: int, path: str):
         """Generator: XS_RM (recursive; fires watches)."""
         yield from self._charge(path=path)
-        try:
-            owner = self.tree._walk(path).owner_domid
-            removed = self.tree.rm(path)
-            if self.journal is not None:
-                self.journal.record_rm(path)
-            self._release_quota(owner, removed)
-        except NoEntError:
-            removed = 0
+        removed = self._remove(path)
         if removed:
             yield from self._fire_watches(path)
         yield from self._log_access()
@@ -646,13 +661,14 @@ class XenStoreDaemon:
         if not ops:
             return []
         if not self.batch_ops:
-            # Even the degraded (sequential) path validates kinds up
-            # front: a malformed op must reject the whole batch before
-            # any mutation, watch event or quota charge — not fail
-            # mid-way with the earlier ops already applied.
-            for kind, _path, _value in ops:
+            # Even the degraded (sequential) path validates kinds and
+            # paths up front: a malformed op must reject the whole batch
+            # before any mutation, watch event or quota charge — not
+            # fail mid-way with the earlier ops already applied.
+            for kind, path, _value in ops:
                 if kind not in _BATCH_KINDS:
                     raise BatchError("unknown batch op kind %r" % (kind,))
+                split_path(path)
             modified = []
             for kind, path, value in ops:
                 if kind == "write":
@@ -711,17 +727,8 @@ class XenStoreDaemon:
                 if self.journal is not None:
                     self.journal.record_mkdir(domid, path)
                 modified.append(path)
-            else:
-                try:
-                    owner = self.tree._walk(path).owner_domid
-                    removed = self.tree.rm(path)
-                    if self.journal is not None:
-                        self.journal.record_rm(path)
-                    self._release_quota(owner, removed)
-                except NoEntError:
-                    removed = 0
-                if removed:
-                    modified.append(path)
+            elif self._remove(path):
+                modified.append(path)
         self.stats["batches"] += 1
         self.stats["batched_ops"] += len(ops)
         for path in modified:

@@ -25,31 +25,15 @@ class InvalidPathError(StoreError):
     """Malformed path."""
 
 
-#: Memo for :func:`split_path`, keyed by the raw path string.  Only
-#: successful parses are cached; the population is bounded by the set of
-#: distinct paths the toolstack ever touches.  Entries are tuples so a
-#: cache hit can never be mutated by a caller.
-_SPLIT_CACHE: typing.Dict[str, tuple] = {}
-_SPLIT_CACHE_CAP = 65536
-
-
 def split_path(path: str) -> typing.Tuple[str, ...]:
     """Validate and split an absolute store path into components."""
-    try:
-        return _SPLIT_CACHE[path]
-    except KeyError:
-        pass
-    if not path.startswith("/"):
+    if path[:1] != "/":
         raise InvalidPathError("path must be absolute: %r" % path)
     if "//" in path:
         raise InvalidPathError("empty component in path: %r" % path)
     if path == "/":
-        parts: typing.Tuple[str, ...] = ()
-    else:
-        parts = tuple(path.rstrip("/").split("/")[1:])
-    if len(_SPLIT_CACHE) < _SPLIT_CACHE_CAP:
-        _SPLIT_CACHE[path] = parts
-    return parts
+        return ()
+    return tuple(path[1:].rstrip("/").split("/"))
 
 
 class Node:
@@ -102,22 +86,29 @@ class XenStoreTree:
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def _walk(self, path: str) -> Node:
+    def _find(self, path: str) -> typing.Optional[Node]:
+        """The node at ``path``, or None if it does not exist.
+
+        Raises only :class:`InvalidPathError`: a missing node is an
+        ordinary answer here (existence checks, commit validation), not
+        an exception to raise and catch.
+        """
         node = self.root
         for part in split_path(path):
-            try:
-                node = node.children[part]
-            except KeyError:
-                raise NoEntError(path) from None
+            node = node.children.get(part)
+            if node is None:
+                return None
+        return node
+
+    def _walk(self, path: str) -> Node:
+        node = self._find(path)
+        if node is None:
+            raise NoEntError(path)
         return node
 
     def exists(self, path: str) -> bool:
         """True if ``path`` names a node."""
-        try:
-            self._walk(path)
-            return True
-        except NoEntError:
-            return False
+        return self._find(path) is not None
 
     def read(self, path: str) -> str:
         """Return the value at ``path``; raises NoEntError."""
@@ -137,10 +128,8 @@ class XenStoreTree:
         Cheaper than ``len(directory(path))`` — no sort, no list — for
         callers that only size a modeled scan charge.
         """
-        try:
-            return len(self._walk(path).children)
-        except NoEntError:
-            return 0
+        node = self._find(path)
+        return 0 if node is None else len(node.children)
 
     def name_in_use(self, name: str) -> bool:
         """True if any ``/local/domain/<id>/name`` node holds ``name``.

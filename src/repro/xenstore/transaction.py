@@ -52,26 +52,22 @@ class Transaction:
         self._check_open()
         if path in self.write_set:
             return self.write_set[path]
-        try:
-            generation = self.tree.generation_of(path)
-        except NoEntError:
+        node = self.tree._find(path)
+        if node is None:
             self.read_set.setdefault(path, None)
-            raise
-        self.read_set.setdefault(path, generation)
-        return self.tree.read(path)
+            raise NoEntError(path)
+        self.read_set.setdefault(path, node.generation)
+        return node.value
 
     def exists(self, path: str) -> bool:
         """Existence check, recorded in the read set."""
         self._check_open()
         if path in self.write_set:
             return True
-        try:
-            generation = self.tree.generation_of(path)
-            self.read_set.setdefault(path, generation)
-            return True
-        except NoEntError:
-            self.read_set.setdefault(path, None)
-            return False
+        node = self.tree._find(path)
+        self.read_set.setdefault(
+            path, None if node is None else node.generation)
+        return node is not None
 
     def write(self, path: str, value: str) -> None:
         """Stage a write."""
@@ -88,21 +84,22 @@ class Transaction:
     # ------------------------------------------------------------------
     def validate(self) -> bool:
         """True if the read/write sets are still consistent with the tree."""
+        if self.tree.generation == self.start_generation:
+            # Every mutation bumps the tree's generation, so nothing
+            # changed since this transaction began: every read still
+            # holds and no node is newer than the start.
+            return True
+        find = self.tree._find
         for path, seen_generation in self.read_set.items():
-            try:
-                current = self.tree.generation_of(path)
-            except NoEntError:
-                current = None
+            node = find(path)
+            current = None if node is None else node.generation
             if current != seen_generation:
                 return False
         # Writes also conflict if someone else touched the same node after
         # the transaction started.
         for path in self.write_set:
-            try:
-                current = self.tree.generation_of(path)
-            except NoEntError:
-                continue
-            if current > self.start_generation:
+            node = find(path)
+            if node is not None and node.generation > self.start_generation:
                 return False
         return True
 

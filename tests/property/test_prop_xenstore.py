@@ -1,10 +1,11 @@
 """Property-based tests for the XenStore tree, watches and transactions."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.xenstore import (NoEntError, Transaction, TransactionConflict,
-                            WatchManager, XenStoreTree)
+                            Watch, WatchManager, XenStoreTree)
 
 path_segments = st.lists(
     st.text(alphabet="abcd", min_size=1, max_size=3),
@@ -89,6 +90,78 @@ def test_watch_fire_order_matches_linear_scan(watch_paths, fired_paths):
         assert manager.fire(fired) == expected
 
 
+watch_paths = st.one_of(paths, st.just("/"), paths.map(lambda p: p + "/"))
+watch_ops = st.lists(st.one_of(
+    st.tuples(st.just("add"), st.integers(0, 2), watch_paths,
+              st.sampled_from("xy")),
+    st.tuples(st.just("remove"), st.integers(0, 63)),
+    st.tuples(st.just("remove-missing"), watch_paths),
+    st.tuples(st.just("remove-domain"), st.integers(0, 2)),
+    st.tuples(st.just("fire"), watch_paths)), max_size=40)
+
+
+@given(watch_ops)
+@settings(max_examples=200, deadline=None)
+def test_watch_registry_matches_linear_scan_reference(operations):
+    """Any interleaving of add, remove, remove_for_domain and fire must
+    agree with a daemon that keeps one registration list and scans it:
+    the same watches fire in the same order (shallowest watch path
+    first, registration order within a path), the same removal counts,
+    the same ``len()``.  Removing everything leaves no trie level."""
+    manager = WatchManager()
+    reference = []  # registration order
+    delivered = []
+
+    def callback(path, token):
+        delivered.append((path, token))
+
+    def scan(fired):
+        def matches(watch):
+            return (watch.path == "/" or fired == watch.path
+                    or fired.startswith(watch.path + "/"))
+        return sorted((w for w in reference if matches(w)),
+                      key=lambda w: 0 if w.path == "/"
+                      else w.path.count("/"))
+
+    for op in operations:
+        if op[0] == "add":
+            _kind, domid, path, token = op
+            reference.append(manager.add(domid, path, token, callback))
+        elif op[0] == "remove":
+            if reference:
+                # Equal watches are interchangeable: both sides drop the
+                # first registered one.
+                watch = reference[op[1] % len(reference)]
+                manager.remove(watch)
+                reference.remove(watch)
+        elif op[0] == "remove-missing":
+            stray = Watch(9, op[1].rstrip("/") or "/", "x", callback)
+            with pytest.raises(ValueError):
+                manager.remove(stray)
+        elif op[0] == "remove-domain":
+            kept = [w for w in reference if w.domid != op[1]]
+            assert manager.remove_for_domain(op[1]) == \
+                len(reference) - len(kept)
+            reference = kept
+        else:
+            fired = op[1].rstrip("/") or "/"
+            expected = scan(fired)
+            delivered.clear()
+            scans = manager.scans_total
+            assert manager.fire(op[1]) == expected
+            assert delivered == [(fired, w.token) for w in expected]
+            assert manager.scans_total - scans == len(reference)
+        assert len(manager) == len(reference)
+
+    for watch in list(reference):
+        manager.remove(watch)
+        reference.remove(watch)
+    assert len(manager) == 0
+    assert manager._root.watches == []
+    assert manager._root.children == {}
+    assert manager._levels == {}
+
+
 @given(st.dictionaries(paths, st.text(max_size=5), min_size=1,
                        max_size=8),
        st.dictionaries(paths, st.text(max_size=5), min_size=0,
@@ -141,6 +214,57 @@ def test_interference_on_read_set_always_conflicts(writes):
     except TransactionConflict:
         conflicted = True
     assert conflicted
+
+
+def full_scan_validate(tx):
+    """Commit validation as a check of every read and staged write."""
+    for path, seen_generation in tx.read_set.items():
+        try:
+            current = tx.tree.generation_of(path)
+        except NoEntError:
+            current = None
+        if current != seen_generation:
+            return False
+    for path in tx.write_set:
+        try:
+            current = tx.tree.generation_of(path)
+        except NoEntError:
+            continue
+        if current > tx.start_generation:
+            return False
+    return True
+
+
+@given(st.dictionaries(paths, st.text(max_size=3), max_size=6),
+       st.lists(st.tuples(st.sampled_from(("tx-read", "tx-exists",
+                                           "tx-write", "write", "rm")),
+                          paths), max_size=20))
+@settings(max_examples=150, deadline=None)
+def test_validate_matches_full_scan(initial, operations):
+    """``validate`` answers like a check of every read and staged write,
+    with and without store mutations since the transaction began."""
+    tree = XenStoreTree()
+    for path, value in initial.items():
+        tree.write(path, value)
+    tx = Transaction(tree, 1, 0)
+    for op, path in operations:
+        if op == "tx-read":
+            try:
+                tx.read(path)
+            except NoEntError:
+                pass
+        elif op == "tx-exists":
+            tx.exists(path)
+        elif op == "tx-write":
+            tx.write(path, "staged")
+        elif op == "write":
+            tree.write(path, "other")
+        else:
+            try:
+                tree.rm(path)
+            except NoEntError:
+                pass
+        assert tx.validate() == full_scan_validate(tx)
 
 
 name_ops = st.lists(st.tuples(

@@ -11,7 +11,8 @@ front* rather than failing mid-way with earlier ops already applied.
 import pytest
 
 from repro.sim import Simulator
-from repro.xenstore import XenStoreCosts, XenStoreDaemon, XsClient
+from repro.xenstore import (InvalidPathError, XenStoreCosts, XenStoreDaemon,
+                            XsClient)
 from repro.xenstore.daemon import BatchError, QuotaExceededError
 
 
@@ -69,6 +70,25 @@ class TestMalformedBatch:
                 1, [("chmod", "/x", None),
                     ("write", "/local/domain/1/a", "1")]))
         assert not daemon.tree.exists("/local/domain/1/a")
+
+
+    @pytest.mark.parametrize("batch_ops", [False, True],
+                             ids=["sequential", "coalesced"])
+    def test_bad_path_rejects_everything(self, batch_ops):
+        sim, daemon = make_daemon(batch_ops)
+        fired = []
+        drive(sim, XsClient(daemon).watch(
+            "/a", "tok", lambda path, token: fired.append(path)))
+        ops_before = daemon.stats["ops"]
+        with pytest.raises(InvalidPathError):
+            drive(sim, daemon.apply_batch(
+                0, [("write", "/a/ok", "1"), ("write", "relative/bad", "2")]))
+        assert not daemon.tree.exists("/a/ok")
+        assert fired == []
+        assert daemon.stats["watch_events"] == 0
+        # The sequential path rejects before its first round trip; the
+        # coalesced one after the single round trip that carried it.
+        assert daemon.stats["ops"] - ops_before == int(batch_ops)
 
 
 class TestQuotaAbort:

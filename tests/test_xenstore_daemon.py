@@ -1,7 +1,13 @@
 """Tests for the XenStore daemon: protocol costs, queueing, transactions."""
 
+import gc
+import inspect
+import tracemalloc
+
 import pytest
 
+from repro.core import Host
+from repro.guests import DAYTIME_UNIKERNEL
 from repro.sim import Simulator
 from repro.xenstore import (DuplicateNameError, TransactionConflict,
                             XenStoreCosts, XenStoreDaemon)
@@ -203,3 +209,38 @@ def test_requests_serialize_on_single_worker():
     # Strictly increasing completion times: no two ops overlap.
     assert finish_times == sorted(finish_times)
     assert len(set(finish_times)) == 3
+
+
+def test_traced_verbs_stay_generator_functions():
+    """The benchmark suite bills a verb's resumptions to the XenStore
+    layer only while ``inspect.isgeneratorfunction`` holds for it; a
+    ``_traced`` wrapper that returned the op's own generator would move
+    all XenStore time to its caller's layer."""
+    traced = {name: fn for name, fn in vars(XenStoreDaemon).items()
+              if hasattr(fn, "__wrapped__")}
+    assert {"read", "write", "watch", "apply_batch", "txn_write",
+            "transaction_commit"} <= set(traced)
+    for name, fn in traced.items():
+        assert inspect.isgeneratorfunction(fn), name
+
+
+def test_dropped_host_leaves_no_xenstore_allocations():
+    """Nothing the XenStore allocates outlives its host: no process-wide
+    memo keeps paths of guests long gone."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        host = Host(variant="xl")
+        for _ in range(50):
+            host.create_vm(DAYTIME_UNIKERNEL)
+        del host
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    xenstore = snapshot.filter_traces(
+        [tracemalloc.Filter(True, "*/repro/xenstore/*.py")])
+    kept = sum(stat.size for stat in xenstore.statistics("filename"))
+    assert kept < 64 * 1024

@@ -17,8 +17,8 @@ class TestPathSplitting:
         assert split_path("/a/b/") == ("a", "b")
 
     def test_memo_returns_equal_parse(self):
-        # split_path memoizes successful parses; a second call must give
-        # the same (immutable) components.
+        # split_path keeps no memo, so every call parses afresh; two
+        # calls must still give equal, immutable components.
         first = split_path("/memo/check/path")
         assert split_path("/memo/check/path") == first
         assert isinstance(first, tuple)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.xenstore import AccessLog, WatchManager
+from repro.xenstore import AccessLog, InvalidPathError, WatchManager
 
 
 class TestWatches:
@@ -67,6 +67,27 @@ class TestWatches:
         mgr.add(2, "/c", "t", lambda p, t: None)
         assert mgr.remove_for_domain(1) == 2
         assert len(mgr) == 1
+
+    @pytest.mark.parametrize("path", ["backend/vif", "", "//", "/a//b",
+                                      "//a"])
+    def test_malformed_watch_path_rejected(self, path):
+        """A relative or empty-component path names no node a fire
+        could reach; XS_WATCH rejects it instead of never firing."""
+        mgr = WatchManager()
+        with pytest.raises(InvalidPathError):
+            mgr.add(0, path, "tok", lambda p, t: None)
+        assert len(mgr) == 0
+        mgr.fire("/backend/vif")
+        assert mgr.fired_total == 0
+
+    def test_trailing_slash_watch_is_the_same_path(self):
+        mgr = WatchManager()
+        hits = []
+        watch = mgr.add(0, "/backend/vif/", "tok",
+                        lambda p, t: hits.append(p))
+        assert watch.path == "/backend/vif"
+        mgr.fire("/backend/vif/1")
+        assert hits == ["/backend/vif/1"]
 
     def test_scan_cost_counted_per_registered_watch(self):
         mgr = WatchManager()
