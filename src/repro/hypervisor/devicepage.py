@@ -13,6 +13,12 @@ reproduction exercises the same serialize/deserialize path a C guest would:
 * entries: 32-byte records,
   ``type u8 | state u8 | backend_domid u16 | evtchn_port u32 |
   grant_ref u32 | mac 6s`` + 14 bytes reserved.
+
+The hypervisor stores only the page's live prefix: the header and the
+slots up to the highest one ever used.  The rest of a real page is zeros,
+so storing it would cost 4 KiB per VM for nothing (Fig 10 runs 8,000 of
+them).  The guest still maps the full 4,096-byte page: ``readonly_view``
+pads the prefix with zeros, and ``parse`` checks what a guest receives.
 """
 
 from __future__ import annotations
@@ -84,10 +90,20 @@ class DeviceEntry(typing.NamedTuple):
 
 
 class DevicePage:
-    """A 4 KiB packed device page owned by the hypervisor."""
+    """A 4 KiB packed device page owned by the hypervisor.
+
+    ``_buf`` holds the page's live prefix: the 16-byte header and the
+    slots up to the highest one ever used, 32 bytes each.  A slot past
+    the prefix reads as empty, like a slot inside it whose type byte is
+    zero.  The prefix grows by one slot when ``add`` finds no free slot
+    in it and never shrinks; ``readonly_view`` gives the guest the full
+    page.
+    """
+
+    __slots__ = ("_buf", "writes")
 
     def __init__(self):
-        self._buf = bytearray(PAGE_SIZE)
+        self._buf = bytearray(_HEADER_SIZE)
         struct.pack_into(_HEADER_FMT, self._buf, 0, MAGIC, VERSION, 0)
         #: Hypervisor-side write counter (hypercalls issued against page).
         self.writes = 0
@@ -107,41 +123,47 @@ class DevicePage:
     # ------------------------------------------------------------------
     # Entry access
     # ------------------------------------------------------------------
-    def _offset(self, index: int) -> int:
+    def _occupied(self, index: int) -> int:
+        """The offset of occupied slot ``index``; raises for a slot out of
+        range or empty, in or past the stored prefix."""
         if not 0 <= index < MAX_ENTRIES:
             raise DevicePageError("entry index %d out of range" % index)
-        return _HEADER_SIZE + index * _ENTRY_SIZE
+        offset = _HEADER_SIZE + index * _ENTRY_SIZE
+        if offset >= len(self._buf) or self._buf[offset] == DEV_NONE:
+            raise DevicePageError("entry %d is empty" % index)
+        return offset
 
     def add(self, entry: DeviceEntry) -> int:
         """Store a device entry in the first free slot; returns its index."""
-        index = self._buf[_HEADER_SIZE:_SLOTS_END:_ENTRY_SIZE].find(DEV_NONE)
-        if index < 0:
-            raise DevicePageError(
-                "device page full (%d entries)" % MAX_ENTRIES)
-        offset = _HEADER_SIZE + index * _ENTRY_SIZE
-        self._buf[offset:offset + _ENTRY_SIZE] = entry.pack()
+        buf = self._buf
+        index = buf[_HEADER_SIZE::_ENTRY_SIZE].find(DEV_NONE)
+        if index >= 0:
+            offset = _HEADER_SIZE + index * _ENTRY_SIZE
+            buf[offset:offset + _ENTRY_SIZE] = entry.pack()
+        else:
+            # Every stored slot is in use: the new one extends the prefix.
+            index = (len(buf) - _HEADER_SIZE) // _ENTRY_SIZE
+            if index == MAX_ENTRIES:
+                raise DevicePageError(
+                    "device page full (%d entries)" % MAX_ENTRIES)
+            buf += entry.pack()
         self._set_count(self.count + 1)
         self.writes += 1
         return index
 
     def read(self, index: int) -> DeviceEntry:
         """Decode the entry at ``index``."""
-        entry = DeviceEntry._make(
-            _ENTRY.unpack_from(self._buf, self._offset(index)))
-        if entry.dev_type == DEV_NONE:
-            raise DevicePageError("entry %d is empty" % index)
-        return entry
+        return DeviceEntry._make(
+            _ENTRY.unpack_from(self._buf, self._occupied(index)))
 
     def update_state(self, index: int, state: int) -> None:
         """Rewrite just the state byte of an entry."""
-        self.read(index)  # validates occupancy
-        self._buf[self._offset(index) + 1] = state
+        self._buf[self._occupied(index) + 1] = state
         self.writes += 1
 
     def remove(self, index: int) -> None:
         """Clear an entry (device destruction)."""
-        self.read(index)  # validates occupancy
-        offset = self._offset(index)
+        offset = self._occupied(index)
         self._buf[offset:offset + _ENTRY_SIZE] = bytes(_ENTRY_SIZE)
         self._set_count(self.count - 1)
         self.writes += 1
@@ -156,8 +178,9 @@ class DevicePage:
         return found
 
     def readonly_view(self) -> bytes:
-        """The guest-visible mapping: an immutable snapshot of the page."""
-        return bytes(self._buf)
+        """The guest-visible mapping: an immutable snapshot of the full
+        4 KiB page, the stored prefix padded with zeros."""
+        return bytes(self._buf).ljust(PAGE_SIZE, b"\0")
 
     @staticmethod
     def parse(view: bytes) -> typing.List[DeviceEntry]:

@@ -12,7 +12,10 @@ notifications only when the peer might be asleep.  The classic protocol:
 
 The implementation is a faithful little state machine, property-tested
 for losslessness and FIFO order; the noxs device control page's
-``ring_ref`` points at one of these.
+``ring_ref`` points at one of these.  A ring stores only its occupied
+slots, keyed by slot position, not ``2**order`` empty ones: every noxs
+device owns a ring pair, and the simulated control plane never pushes
+to it, so a density run holds thousands of rings that stay empty.
 """
 
 from __future__ import annotations
@@ -27,13 +30,17 @@ class RingFullError(RuntimeError):
 class SharedRing:
     """One direction of a Xen-style shared ring."""
 
+    __slots__ = ("size", "_slots", "prod", "cons", "prod_event",
+                 "notifications_sent", "notifications_suppressed")
+
     def __init__(self, order: int = 5):
         """``order``: ring holds ``2**order`` entries (32 for a standard
         4 KiB ring of 128-byte requests)."""
         if order < 0 or order > 12:
             raise ValueError("unreasonable ring order %r" % order)
         self.size = 1 << order
-        self._slots: typing.List[object] = [None] * self.size
+        #: Slot position -> entry, for the occupied slots only.
+        self._slots: typing.Dict[int, object] = {}
         #: Producer's published index (shared).
         self.prod = 0
         #: Consumer's private index (published for space accounting).
@@ -95,8 +102,7 @@ class SharedRing:
         """Consume one entry (caller checked :attr:`is_empty`)."""
         if self.is_empty:
             raise IndexError("ring empty")
-        item = self._slots[self.cons % self.size]
-        self._slots[self.cons % self.size] = None
+        item = self._slots.pop(self.cons % self.size)
         self.cons += 1
         return item
 
@@ -120,6 +126,8 @@ class SharedRing:
 
 class RingPair:
     """Request + response rings, as a connected device uses them."""
+
+    __slots__ = ("requests", "responses")
 
     def __init__(self, order: int = 5):
         self.requests = SharedRing(order)

@@ -29,6 +29,8 @@ class ControlPageError(RuntimeError):
 class DeviceControlPage:
     """One device's shared control block, identified by a frame number."""
 
+    __slots__ = ("frame", "_buf")
+
     def __init__(self, frame: int, dev_type: int,
                  mac: bytes = b"\x00" * 6, mtu: int = 1500):
         if len(mac) != 6:
