@@ -27,7 +27,9 @@ def hotplug_comparison():
     for label, hotplug_cls in (("bash", BashHotplug),
                                ("xendevd", Xendevd)):
         host = Host(variant="chaos+noxs")
-        host.toolstack.hotplug = hotplug_cls(host.sim)
+        host.toolstack = ChaosToolstack(host.sim, host.hypervisor,
+                                        noxs=host.noxs, sysctl=host.sysctl,
+                                        hotplug=hotplug_cls(host.sim))
         out[label] = host.create_vm(DAYTIME_UNIKERNEL).create_ms
     return out
 

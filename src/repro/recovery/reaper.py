@@ -24,7 +24,7 @@ from __future__ import annotations
 import typing
 
 from ..hypervisor.domain import DomainState
-from ..toolstack.devices import _patient_rm
+from ..toolstack.devices import _patient_rm, _patiently
 from ..trace.tracer import tracer_of
 from .intents import Intent, IntentLog
 
@@ -130,7 +130,10 @@ class OrphanReaper:
         for base in ("/local/domain", "/vm"):
             if not xs.tree.exists(base):
                 continue
-            names = yield from xs.directory(base)
+            # Recovery must outlast the crashes it recovers from: the
+            # listing retries a daemon restart like the removals do.
+            names = yield from _patiently(self.sim,
+                                          lambda: xs.directory(base), rng)
             for name in names:
                 if not name.isdigit():
                     continue

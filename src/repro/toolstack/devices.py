@@ -25,8 +25,10 @@ from __future__ import annotations
 
 import typing
 
-from ..faults.plan import GrantMapFailure
-from ..faults.retry import RetryExhausted, RetryPolicy, ROLLBACK_POLICY
+from ..faults.plan import (DaemonRestarted, GrantMapFailure, MessageTimeout,
+                           Overloaded)
+from ..faults.retry import (RetryExhausted, RetryPolicy, ROLLBACK_POLICY,
+                            retry_generator)
 from ..hypervisor.domain import Domain
 from ..hypervisor.hypervisor import DOM0_ID, Hypervisor
 from ..trace.tracer import tracer_of
@@ -71,7 +73,6 @@ class XsDeviceManager:
         #: the announcement watch was dropped and re-announcing.
         self.response_timeout_ms = response_timeout_ms
         self.response_retries = response_retries
-        self.retries_total = 0
         self.respond_failures = 0
         self._backend_watch_installed = False
         #: (domid, kind, index) -> event fired when back-end has responded.
@@ -179,12 +180,13 @@ class XsDeviceManager:
     # ------------------------------------------------------------------
     def create_device(self, domain: Domain, kind: str, index: int,
                       params: typing.Optional[dict] = None):
-        """Generator: steps 1-2 plus hotplug; returns (port, grant_ref)."""
+        """Generator: steps 1-2 plus hotplug; returns the announcement
+        transaction's retries."""
         with tracer_of(self.sim).span("device.create", kind=kind,
                                       domid=domain.domid, index=index):
-            result = yield from self._create_device(domain, kind, index,
-                                                    params)
-        return result
+            retries = yield from self._create_device(domain, kind, index,
+                                                     params)
+        return retries
 
     def _create_device(self, domain: Domain, kind: str, index: int,
                        params: typing.Optional[dict] = None):
@@ -216,7 +218,7 @@ class XsDeviceManager:
                 yield from txn.write(back_base + "/param-%d" % extra, "x")
 
         try:
-            self.retries_total += yield from self.xs.transaction(
+            retries = yield from self.xs.transaction(
                 announce, policy=self.retry_policy, rng=self.rng)
         except RetryExhausted as exc:
             yield from self._cleanup_failed_create(domain, kind, index)
@@ -251,14 +253,13 @@ class XsDeviceManager:
             if response.triggered:
                 break
             yield from self.xs.write(back_base + "/frontend", front_base)
-        result = response.value
         self._pending.pop(key, None)
 
         # User-space plumbing (bridge attach) via the hotplug mechanism.
         if kind == "vif":
             devname = "vif%d.%d" % (domain.domid, index)
             yield from self.hotplug.attach(domain.domid, devname)
-        return result
+        return retries
 
     def _cleanup_failed_create(self, domain: Domain, kind: str, index: int):
         """Generator: undo a half-finished :meth:`create_device`.
@@ -333,20 +334,23 @@ def _rm_backend_parent(sim, xs: XsClient, kind: str, domid: int, rng=None):
         yield from _patient_rm(sim, xs, parent, rng)
 
 
+#: What patient cleanup retries: daemon restarts and shed requests count
+#: as lost acks, since cleanup must survive the very crashes it is
+#: cleaning up after.
+PATIENT_RETRYABLE = (MessageTimeout, DaemonRestarted, Overloaded)
+
+
+def _patiently(sim, make_gen, rng=None):
+    """Generator: drive ``make_gen()`` with the patient rollback policy;
+    returns its result."""
+    return (yield from retry_generator(sim, ROLLBACK_POLICY, rng, make_gen,
+                                       PATIENT_RETRYABLE))
+
+
 def _patient_rm(sim, xs: XsClient, path: str, rng=None):
     """Generator: remove ``path`` with the patient rollback policy —
     cleanup that gives up under a fault storm would leak state."""
-    from ..faults.plan import DaemonRestarted, MessageTimeout, Overloaded
-    from ..faults.retry import retry_generator
-
-    def attempt():
-        yield from xs.rm(path)
-
-    # Daemon restarts and shed requests are retried like lost acks:
-    # cleanup must survive the very crashes it is cleaning up after.
-    retryable = (MessageTimeout, DaemonRestarted, Overloaded)
     try:
-        yield from retry_generator(sim, ROLLBACK_POLICY, rng, attempt,
-                                   retryable)
-    except retryable:
+        yield from _patiently(sim, lambda: xs.rm(path), rng)
+    except PATIENT_RETRYABLE:
         pass  # the invariant checker will report the leak loudly

@@ -41,16 +41,9 @@ class MigrationCosts:
     #: Reading a checkpoint back is faster than writing one (sequential
     #: ramdisk read + batched mapping), MB per ms.
     restore_mb_per_ms: float = 0.24
-    #: Fixed libxc setup per save/restore (context, fd plumbing).
+    #: Fixed libxc setup per save/restore (context, fd plumbing); the
+    #: toolstack's own overhead around each is in the toolstack's costs.
     libxc_fixed_ms: float = 1.5
-    #: xl's extra toolstack overhead around save (QEMU state, XS records).
-    xl_save_overhead_ms: float = 50.0
-    #: xl's extra toolstack overhead around restore: QEMU device-model
-    #: restore, front/back-end reconnection waits, console re-plumbing.
-    #: Restore is xl's slowest direction (Fig 12b: ≈550 ms vs 128 ms).
-    xl_restore_overhead_ms: float = 390.0
-    #: chaos's overhead around save/restore (lean binary).
-    chaos_overhead_ms: float = 1.0
 
 
 @dataclasses.dataclass
@@ -75,9 +68,6 @@ class Checkpointer:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _is_xl(self) -> bool:
-        return self.toolstack.name == "xl"
-
     def _dump_ms(self, memory_kb: int) -> float:
         return (self.costs.libxc_fixed_ms
                 + memory_kb / 1024.0 / self.costs.ramdisk_mb_per_ms)
@@ -101,10 +91,7 @@ class Checkpointer:
         return saved
 
     def _save(self, domain: Domain, config: VMConfig):
-        if self._is_xl():
-            yield self.sim.timeout(self.costs.xl_save_overhead_ms)
-        else:
-            yield self.sim.timeout(self.costs.chaos_overhead_ms)
+        yield self.sim.timeout(self.toolstack.costs.save_overhead_ms)
         yield from self.toolstack.plane.suspend(domain)
         # libxc: stream guest memory to the ramdisk.
         memory_kb = domain.memory_kb
@@ -130,10 +117,7 @@ class Checkpointer:
 
     def _restore(self, saved: SavedImage):
         ts = self.toolstack
-        if self._is_xl():
-            yield self.sim.timeout(self.costs.xl_restore_overhead_ms)
-        else:
-            yield self.sim.timeout(self.costs.chaos_overhead_ms)
+        yield self.sim.timeout(ts.costs.restore_overhead_ms)
         record = yield from ts.create_vm(saved.config, boot=False)
         domain = record.domain
         # libxc: load the memory image back.

@@ -1,10 +1,12 @@
 """The guest control plane: the XenStore or noxs, behind one seam (§5.1).
 
-Each toolstack builds one plane in its constructor, and every operation
-on an existing guest goes through it: suspend and resume (save, restore,
-migration), releasing a saved or migrated guest, device teardown,
-create rollback and the ambient-client ledger.  Callers never branch on
-the control plane.
+Each toolstack builds one plane in its constructor, and every step that
+differs between the two control planes goes through it: device setup at
+creation, suspend and resume (save, restore, migration), releasing a
+saved or migrated guest, device teardown, create rollback and the
+ambient-client ledger.  Callers never branch on the control plane.  A
+plane copies the collaborators it needs from its toolstack and keeps no
+reference to the toolstack itself.
 
 The ledger: a XenStore guest with a live xenbus adds its image's
 ``ambient_weight`` to the daemon's ``ambient_clients`` and records it in
@@ -18,7 +20,9 @@ from __future__ import annotations
 
 import typing
 
+from ..hypervisor.devicepage import DEV_VBD, DEV_VIF
 from ..hypervisor.domain import Domain, ShutdownReason
+from ..hypervisor.hypervisor import DOM0_ID
 from ..noxs.sysctl import SysctlBackend
 from ..trace.tracer import tracer_of
 from .config import VMConfig
@@ -28,18 +32,47 @@ from .devices import _patient_rm
 class XsPlane:
     """Guest control through the XenStore (xl, chaos [XS]).
 
-    ``roots`` hold one store subtree per guest (``<root>/<domid>``): xl
-    writes ``/local/domain`` and ``/vm``, chaos only ``/local/domain``.
+    Its toolstack's ``roots`` hold one store subtree per guest: xl writes
+    ``/local/domain/<domid>`` and ``/vm/<domid>``, chaos only the first.
     """
 
-    def __init__(self, toolstack, roots: typing.Tuple[str, ...]):
+    def __init__(self, toolstack):
         self.sim = toolstack.sim
         self.hypervisor = toolstack.hypervisor
         self.xenstore = toolstack.xenstore
         self.xs = toolstack.xs
         self.devices = toolstack.devices
+        self.hotplug = toolstack.hotplug
+        self.costs = toolstack.costs
         self.rng = toolstack.rng
-        self.roots = roots
+        self.roots = toolstack.roots
+
+    def setup_devices(self, domain: Domain, config: VMConfig, shell):
+        """Generator: the config's vifs and vbds through the device
+        manager, or, on a pooled shell whose devices the prepare phase
+        pre-created, only the VM-specific leaves plus the hotplug attach.
+        Returns the store transaction retries it took."""
+        if shell is not None:
+            for index, vif in enumerate(config.vifs):
+                back_base = "/local/domain/%d/backend/vif/%d/%d" % (
+                    DOM0_ID, domain.domid, index)
+                with self.xs.batch() as batch:
+                    if "mac" in vif:
+                        batch.write(back_base + "/mac", vif["mac"])
+                    for extra in range(self.costs.split_device_entries - 1):
+                        batch.write(back_base + "/final-%d" % extra, "x")
+                    yield from batch.commit()
+                devname = "vif%d.%d" % (domain.domid, index)
+                yield from self.hotplug.attach(domain.domid, devname)
+            return 0
+        retries = 0
+        for index, vif in enumerate(config.vifs):
+            retries += yield from self.devices.create_device(
+                domain, "vif", index, params=vif)
+        for index, _vbd in enumerate(config.vbds):
+            retries += yield from self.devices.create_device(domain, "vbd",
+                                                             index)
+        return retries
 
     def connect(self, domain: Domain, weight: float) -> None:
         """The guest's xenbus is live: register its ambient traffic."""
@@ -139,6 +172,44 @@ class NoxsPlane:
         self.hypervisor = toolstack.hypervisor
         self.noxs = toolstack.noxs
         self.sysctl = toolstack.sysctl
+        self.hotplug = toolstack.hotplug
+
+    def setup_devices(self, domain: Domain, config: VMConfig, shell):
+        """Generator: the device page (a pooled shell has one already),
+        the devices recorded in it (a shell's prepared ones first), then
+        the sysctl device.  Returns 0: no store transactions here."""
+        if shell is None:
+            self.hypervisor.devpage_create(domain)
+            prepared = []
+        else:
+            prepared = list(shell.prepared_devices)
+        # Recorded incrementally so a mid-setup failure can roll back the
+        # devices that already exist.
+        entries = domain.notes.setdefault("noxs_devices", [])
+        for index, vif in enumerate(config.vifs):
+            if prepared:
+                entry = prepared.pop(0)
+            else:
+                mac = _parse_mac(vif.get("mac"))
+                entry = yield from self.noxs.ioctl_create_device(
+                    domain, DEV_VIF, mac=mac)
+            index_on_page = yield from self.noxs.write_devpage(domain,
+                                                               entry)
+            entries.append((index_on_page, entry))
+            devname = "vif%d.%d" % (domain.domid, index)
+            yield from self.hotplug.attach(domain.domid, devname)
+        for _index in range(len(config.vbds)):
+            if prepared:
+                entry = prepared.pop(0)
+            else:
+                entry = yield from self.noxs.ioctl_create_device(
+                    domain, DEV_VBD)
+            index_on_page = yield from self.noxs.write_devpage(domain,
+                                                               entry)
+            entries.append((index_on_page, entry))
+        # Power operations need the sysctl pseudo-device.
+        yield from self.sysctl.attach(domain)
+        return 0
 
     def connect(self, domain: Domain, weight: float) -> None:
         """Nothing to register."""
@@ -201,3 +272,13 @@ class NoxsPlane:
             self.hypervisor.domctl_destroy(domain)
         except Exception:
             pass
+
+
+def _parse_mac(text: typing.Optional[str]) -> bytes:
+    """Parse 'aa:bb:cc:dd:ee:ff' into 6 bytes (zeros when absent)."""
+    if not text:
+        return b"\x00" * 6
+    parts = text.split(":")
+    if len(parts) != 6:
+        raise ValueError("malformed MAC address %r" % text)
+    return bytes(int(part, 16) for part in parts)

@@ -30,12 +30,9 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class PowerCosts:
     """Pause/unpause latency constants (ms)."""
 
-    #: The pause/unpause hypercall plus vCPU descheduling.
+    #: The pause/unpause hypercall plus vCPU descheduling (the command's
+    #: own overhead is its toolstack's ``power_overhead_ms``).
     hypercall_ms: float = 0.05
-    #: xl's command overhead around it (process start, libxl).
-    xl_overhead_ms: float = 18.0
-    #: chaos's command overhead.
-    chaos_overhead_ms: float = 0.4
 
 
 class PowerManager:
@@ -48,18 +45,13 @@ class PowerManager:
         self.hypervisor: Hypervisor = toolstack.hypervisor
         self.costs = costs or PowerCosts()
 
-    def _overhead_ms(self) -> float:
-        if self.toolstack.name == "xl":
-            return self.costs.xl_overhead_ms
-        return self.costs.chaos_overhead_ms
-
     def pause(self, domain: Domain):
         """Generator: freeze the guest.
 
         The paused guest stops burning CPU (its idle weight and runnable
         slot are released) but keeps its memory reservation.
         """
-        yield self.sim.timeout(self._overhead_ms())
+        yield self.sim.timeout(self.toolstack.costs.power_overhead_ms)
         self.hypervisor.domctl_pause(domain)
         # On the XenStore plane a frozen guest also stops its ambient
         # xenbus chatter; its weight is parked until unpause.
@@ -81,7 +73,7 @@ class PowerManager:
         if image is None:
             raise RuntimeError("domain %d has no image to reboot into"
                                % domain.domid)
-        yield self.sim.timeout(self._overhead_ms())
+        yield self.sim.timeout(self.toolstack.costs.power_overhead_ms)
         self.hypervisor.domctl_shutdown(domain, ShutdownReason.REBOOT)
         # The dying kernel's xenbus connection and watches go with it.
         self.toolstack.plane.detach(domain)
@@ -97,7 +89,7 @@ class PowerManager:
 
     def unpause(self, domain: Domain):
         """Generator: thaw the guest (no boot — it continues instantly)."""
-        yield self.sim.timeout(self._overhead_ms())
+        yield self.sim.timeout(self.toolstack.costs.power_overhead_ms)
         self.hypervisor.domctl_unpause(domain)
         weight = domain.notes.pop("paused_xenstore_weight", None)
         if weight:

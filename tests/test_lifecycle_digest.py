@@ -9,7 +9,15 @@ change to any of those paths shows up here even where no figure test
 runs it.  After the run both hosts must audit clean, and the XenStore
 daemons' ambient-client ledgers must hold exactly the live guests'
 weights.
+
+Two more pins cover the crash-recovery side of create and destroy: a
+recovery-on lifecycle whose crashed creates and destroy the orphan
+reaper finishes, and the rollup of a churn storm under the chaos@1
+schedules on every variant.
 """
+
+import functools
+import hashlib
 
 import pytest
 
@@ -20,6 +28,7 @@ from repro.faults import (FaultInjector, FaultPlan, FaultRule,
 from repro.guests import DAYTIME_UNIKERNEL
 from repro.net import Link
 from repro.sim import Simulator
+from repro.stdlib import run_sweep, storm_spec
 from repro.toolstack import migrate
 
 #: Makes one create on every variant roll back.
@@ -113,3 +122,117 @@ def test_lifecycle_digest(variant, faulty):
     if src.xenstore is not None:
         assert src.xenstore.ambient_clients == (5.0 if faulty else 6.0)
         assert dst.xenstore.ambient_clients == 0.0
+
+
+#: Two creates and one destroy die mid-operation; the reaper finishes
+#: them.
+CRASHES = FaultPlan(seed=4, rules=(
+    FaultRule("toolstack.create", at=(5, 14)),
+    FaultRule("toolstack.destroy", at=(3,))))
+
+#: variant -> (replay digest, event count) of :func:`recovery_lifecycle`.
+RECOVERY_PINS = {
+    "xl": (
+        "f157f90388451b821c4a6b34310f4de56a40db8dde1cd5e6cd8e18a506667d49",
+        2091),
+    "chaos+xs": (
+        "0441a874a012da59ff532a0cbd3c8d61a30b0c1f84581842724e3d909c98295a",
+        594),
+    "chaos+xs+split": (
+        "ed8ffac70e39d7f24b2aaa6c3a421933d811949f0efb54b6678a9dc2925c8ece",
+        899),
+    "chaos+noxs": (
+        "b8103a0146f412cb061698661c645d0a6dd7c2ac8db7a3f55fd7db08ada18f7e",
+        199),
+    "lightvm": (
+        "b6786c9d01298bc5247f076fbee8e84c52d3daa9af65791bc6886eb43a809496",
+        349),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def recovery_lifecycle(variant):
+    """Eight overlapping creates, four concurrent destroys, then one
+    recovery pass; crashed operations are recorded, not raised.  Returns
+    what the tests read, not the host."""
+    sim = Simulator()
+    trace = EventTrace().attach(sim)
+    host = Host(spec=XEON_E5_1630_2DOM0, variant=variant, sim=sim, seed=5,
+                pool_target=24, shell_memory_kb=DAYTIME_UNIKERNEL.memory_kb,
+                recovery=True, fault_plan=CRASHES)
+    host.warmup(600.0)
+    created, crashed = [], []
+
+    def attempt(operation):
+        try:
+            created.append((yield from operation))
+        except Exception as exc:
+            crashed.append(exc)
+
+    procs = []
+    for index in range(8):
+        config = host.config_for(DAYTIME_UNIKERNEL)
+        procs.append(sim.process(attempt(host.toolstack.create_vm(config))))
+        sim.run(until=sim.now + (0.0, 0.7, 1.4)[index % 3])
+    sim.run(until=sim.all_of(procs))
+    sim.run(until=sim.all_of([
+        sim.process(attempt(host.toolstack.destroy_vm(record.domain)))
+        for record in created[:4]]))
+    host.recover()
+    sim.run(until=sim.now + 500.0)
+    return dict(pin=(trace.digest(), trace.events), crashed=len(crashed),
+                rollbacks=host.toolstack.rollbacks,
+                reaped=dict(host.recovery.reaper.reaped),
+                violations=host.check_invariants())
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_recovery_lifecycle_digest(variant):
+    run = recovery_lifecycle(variant)
+    assert run["pin"] == RECOVERY_PINS[variant]
+    assert run["crashed"] == run["rollbacks"] == 3
+    assert run["reaped"] == {"create": 2, "destroy": 1, "migrate": 0}
+
+
+@pytest.mark.parametrize("variant", [
+    variant if variant != "lightvm" else pytest.param(
+        variant, marks=pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP direction 3(a): a create that crashes at its "
+            "hypervisor check after claiming a shell has not recorded "
+            "the shell's prepared vif yet, so the reaper's rollback "
+            "leaves its dom0 grant and event channel bound to the dead "
+            "shell domain")))
+    for variant in VARIANTS])
+def test_recovery_lifecycle_audits_clean(variant):
+    assert recovery_lifecycle(variant)["violations"] == []
+
+
+#: variant -> sha256 over the 16 seed digests of :func:`churn_spec`.
+CHURN_ROLLUPS = {
+    "xl": "9be7050f79d5f27c4855ee5bd963110edcbde49387d273aadf574de9544ff2b9",
+    "chaos+xs":
+        "8ce1018c6aaa6b7166a0043e6e6e2e1032766e9f1374e5c42565d1a7272bb731",
+    "chaos+xs+split":
+        "f0432faeca948ef3900e413177f02544aec6957131df750550fbdc329acbee77",
+    "chaos+noxs":
+        "6290e732545495571e5cd9d69ea6cf5d183e3300e81fb809255976c9987209ec",
+    "lightvm":
+        "52a940c4c2de3ef910809e97b145db9757970f0bdad487850e671a988164ce70",
+}
+
+
+def churn_spec(variant):
+    """Six churned daytime guests under the chaos@1 crash schedules."""
+    return storm_spec("c", {"ref": variant + "@1", "pool_slack": 8},
+                      "daytime@1", 6,
+                      traffic={"ref": "churn@1", "churn_working_set": 2},
+                      faults="chaos@1")
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_churn_under_crash_schedules_rollup(variant):
+    manifest = run_sweep(churn_spec(variant), range(16))
+    rollup = hashlib.sha256("".join(
+        record["digest"] for record in manifest["runs"]).encode("ascii"))
+    assert rollup.hexdigest() == CHURN_ROLLUPS[variant]
+    assert all(record["violations"] == [] for record in manifest["runs"])

@@ -10,7 +10,7 @@ orphan subtrees.  Every test ends with a clean invariant audit.
 import pytest
 
 from repro.core import Host, XEON_E5_1630_2DOM0
-from repro.faults import FaultPlan, ToolstackCrashed
+from repro.faults import FaultPlan, FaultRule, ToolstackCrashed
 from repro.guests import DAYTIME_UNIKERNEL
 from repro.hypervisor import DomainState
 from repro.net import Link
@@ -28,6 +28,20 @@ def make_host(variant="chaos+xs", plan=None, seed=0, sim=None):
 def drained(host, ms=500.0):
     host.sim.run(until=host.sim.now + ms)
     return host.check_invariants()
+
+
+def daemon_crash_host(variant, occurrence):
+    """Three guests created and destroyed in turn while the XenStore
+    daemon crashes once, at its ``occurrence``-th consultation."""
+    host = Host(spec=XEON_E5_1630_2DOM0, variant=variant, seed=2,
+                pool_target=8, shell_memory_kb=DAYTIME_UNIKERNEL.memory_kb,
+                recovery=True, fault_plan=FaultPlan(seed=1, rules=(
+                    FaultRule("xenstore.daemon_crash", at=(occurrence,)),)))
+    host.warmup(300.0)
+    domains = [host.create_vm(DAYTIME_UNIKERNEL).domain for _ in range(3)]
+    for domain in domains:
+        host.destroy_vm(domain)
+    return host
 
 
 class TestCreateCrash:
@@ -109,6 +123,16 @@ class TestDestroyCrash:
         assert host.running_guests == 0
         assert drained(host) == []
 
+    def test_daemon_restart_on_the_store_removal_is_resent(self):
+        # The crash lands on the first destroy's removal of
+        # /local/domain/<id>: the batched removal resends it once the
+        # daemon is back, so the destroy completes.
+        host = daemon_crash_host("chaos+xs", 80)
+        assert host.xenstore.stats["crashes"] == 1
+        host.recover()
+        assert host.running_guests == 0
+        assert host.check_invariants() == []
+
 
 class TestSweep:
     def test_orphan_subtrees_are_swept(self):
@@ -128,6 +152,16 @@ class TestSweep:
             "/local/domain/99", "/vm/99"]
         assert not host.xenstore.tree.exists("/local/domain/99")
         assert drained(host) == []
+
+    @pytest.mark.parametrize("variant,occurrence", [
+        ("chaos+xs", 89), ("chaos+xs+split", 100), ("xl", 323), ("xl", 324)])
+    def test_sweep_outlasts_a_daemon_restart(self, variant, occurrence):
+        # The crash lands on the sweep's own listing of the store.
+        host = daemon_crash_host(variant, occurrence)
+        assert host.xenstore.stats["crashes"] == 0
+        host.recover()
+        assert host.xenstore.stats["crashes"] == 1
+        assert host.check_invariants() == []
 
     def test_live_domains_survive_the_sweep(self):
         host = make_host()

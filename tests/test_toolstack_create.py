@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import Host, VARIANTS
+from repro.faults import FaultPlan, FaultRule
 from repro.guests import DAYTIME_UNIKERNEL, NOOP_UNIKERNEL
 from repro.hypervisor import DomainState
 
@@ -131,3 +132,31 @@ class TestHostValidation:
         r1 = host.create_vm(DAYTIME_UNIKERNEL)
         r2 = host.create_vm(DAYTIME_UNIKERNEL)
         assert r1.config_name != r2.config_name
+
+
+class TestCreationRecord:
+    # One commit conflict: on xl the second commit is the first guest's
+    # vif transaction, on chaos+xs the first is its registration.
+    @pytest.mark.parametrize("variant,commit", [("xl", 2), ("chaos+xs", 1)])
+    def test_xenstore_retries_are_this_creations_own(self, variant, commit):
+        host = Host(variant=variant, fault_plan=FaultPlan(
+            rules=(FaultRule("xenstore.commit", at=(commit,)),)))
+        host.warmup(600)
+        assert [host.create_vm(DAYTIME_UNIKERNEL).xenstore_retries
+                for _ in range(3)] == [1, 0, 0]
+
+    @pytest.mark.parametrize("variant", ["xl", "chaos+xs"])
+    def test_concurrent_creates_count_each_retry_once(self, variant):
+        host = Host(variant=variant, fault_plan=FaultPlan(seed=1, rules=(
+            FaultRule("xenstore.commit", probability=0.3),)))
+        host.warmup(600)
+        records = []
+
+        def create():
+            records.append((yield from host.toolstack.create_vm(
+                host.config_for(DAYTIME_UNIKERNEL))))
+
+        host.sim.run(until=host.sim.all_of(
+            [host.sim.process(create()) for _ in range(6)]))
+        assert sum(record.xenstore_retries for record in records) == \
+            host.xenstore.stats["conflicts"] == 7
