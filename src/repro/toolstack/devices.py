@@ -264,16 +264,13 @@ class XsDeviceManager:
     def _cleanup_failed_create(self, domain: Domain, kind: str, index: int):
         """Generator: undo a half-finished :meth:`create_device`.
 
-        Pops the pending request (so a late respond rolls itself back),
-        releases anything the back-end already published, and patiently
-        removes both subtrees — cleanup must outlast a fault window, so it
-        uses the rollback policy's larger budget.
+        Pops the pending request (so a late respond rolls itself back)
+        and patiently removes both subtrees — cleanup must outlast a
+        fault window, so it uses the rollback policy's larger budget.
+        Both callers run it before the back-end has responded, so there
+        is no published port or grant to release here.
         """
-        key = (domain.domid, kind, index)
-        event = self._pending.pop(key, None)
-        if event is not None and event.triggered:
-            port, ref = event.value
-            self._rollback_respond(port, ref)
+        self._pending.pop((domain.domid, kind, index), None)
         front_base = "/local/domain/%d/device/%s/%d" % (domain.domid, kind,
                                                         index)
         back_base = "/local/domain/%d/backend/%s/%d/%d" % (

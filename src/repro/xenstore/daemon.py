@@ -107,6 +107,10 @@ class XenStoreDaemon:
         self.rng = rng
         #: Fault injector consulted at ``xenstore.*`` fault points.
         self.faults = faults if faults is not None else NULL_INJECTOR
+        #: False when the injector has no rules: ``fires`` would count
+        #: nothing and return None, so the daemon does not call it.  A
+        #: plan's rules are fixed when its injector is built.
+        self._injecting = self.faults.enabled
         #: Resend schedule for lost message acks (``xenstore.message``).
         self.retry_policy = retry_policy or RetryPolicy(
             max_retries=8, base_ms=0.5, multiplier=2.0, cap_ms=8.0,
@@ -407,7 +411,8 @@ class XenStoreDaemon:
                 yield from self._acquire_shards(shards, extra_us)
             self.stats["ops"] += 1
             if self.journal is not None:
-                if self.faults.fires("xenstore.daemon_crash") is not None:
+                if self._injecting and self.faults.fires(
+                        "xenstore.daemon_crash") is not None:
                     self._crash()
                     raise DaemonRestarted(
                         "xenstore daemon crashed servicing this request")
@@ -418,6 +423,8 @@ class XenStoreDaemon:
                     raise DaemonRestarted(
                         "xenstore daemon crashed while this request "
                         "was in flight")
+            if not self._injecting:
+                return
             rule = self.faults.fires("xenstore.message")
             if rule is None:
                 return
@@ -462,19 +469,26 @@ class XenStoreDaemon:
                 request.resource.release(request)
 
     def _log_access(self, lines: int = 1):
-        """Generator: write log lines, stalling on rotation."""
-        rotated = self.log.record(self.costs.log_lines_per_op * lines)
-        if rotated:
-            self.stats["rotation_stalls"] += 1
-            yield self.sim.timeout(self.costs.log_rotation_ms)
+        """Write log lines; returns the rotation stall (a timeout the
+        verb yields) when they rotated the log, else None.
 
-    def _fire_watches(self, path: str):
-        """Generator: scan the registry and deliver matching events."""
+        A plain call, not a generator: only a rotation, a handful per
+        run, stalls, and every op logs."""
+        if self.log.record(self.costs.log_lines_per_op * lines):
+            self.stats["rotation_stalls"] += 1
+            return self.sim.timeout(self.costs.log_rotation_ms)
+        return None
+
+    def _fire_watches(self, path: str,
+                      parts: typing.Optional[typing.Tuple[str, ...]] = None):
+        """Generator: scan the registry and deliver matching events
+        (``parts``: the path's components, when already split)."""
         costs = self.costs
         scan_us = len(self.watches) * costs.watch_scan_us
         impl = (costs.cxenstored_multiplier
                 if self.implementation == "cxenstored" else 1.0)
-        rule = self.faults.fires("xenstore.watch")
+        rule = (self.faults.fires("xenstore.watch") if self._injecting
+                else None)
         if rule is not None:
             # The delivery is dropped: the daemon still pays the scan but
             # no waiter is woken — they must time out and re-announce.
@@ -484,7 +498,7 @@ class XenStoreDaemon:
             if delay:
                 yield self.sim.timeout(delay)
             return
-        fired = self.watches.fire(path)
+        fired = self.watches.fire(path, parts)
         deliver_us = len(fired) * costs.watch_deliver_us
         self.stats["watch_events"] += len(fired)
         if fired:
@@ -521,7 +535,9 @@ class XenStoreDaemon:
         """Generator: XS_READ."""
         yield from self._charge(path=path)
         self._check_access(domid, path, write=False)
-        yield from self._log_access()
+        stall = self._log_access()
+        if stall is not None:
+            yield stall
         return self.tree.read(path)
 
     @_traced("xenstore.write")
@@ -530,17 +546,21 @@ class XenStoreDaemon:
         yield from self._charge(path=path)
         self._check_access(domid, path, write=True)
         self._charge_quota(domid, path)
-        self.tree.write(path, value, owner_domid=domid)
+        parts = self.tree.write(path, value, owner_domid=domid)
         if self.journal is not None:
             self.journal.record_write(domid, path, value)
-        yield from self._fire_watches(path)
-        yield from self._log_access()
+        yield from self._fire_watches(path, parts)
+        stall = self._log_access()
+        if stall is not None:
+            yield stall
 
     @_traced("xenstore.get_perms")
     def get_perms(self, domid: int, path: str):
         """Generator: XS_GET_PERMS."""
         yield from self._charge(path=path)
-        yield from self._log_access()
+        stall = self._log_access()
+        if stall is not None:
+            yield stall
         return self.tree.get_perms(path)
 
     @_traced("xenstore.set_perms")
@@ -555,7 +575,9 @@ class XenStoreDaemon:
         self.tree.set_perms(path, perms)
         if self.journal is not None:
             self.journal.record_perms(domid, path, perms)
-        yield from self._log_access()
+        stall = self._log_access()
+        if stall is not None:
+            yield stall
 
     @_traced("xenstore.mkdir")
     def mkdir(self, domid: int, path: str):
@@ -565,7 +587,9 @@ class XenStoreDaemon:
         if self.journal is not None:
             self.journal.record_mkdir(domid, path)
         yield from self._fire_watches(path)
-        yield from self._log_access()
+        stall = self._log_access()
+        if stall is not None:
+            yield stall
 
     def _remove(self, path: str) -> int:
         """Remove the subtree at ``path`` (journaled, quota returned to
@@ -586,14 +610,18 @@ class XenStoreDaemon:
         removed = self._remove(path)
         if removed:
             yield from self._fire_watches(path)
-        yield from self._log_access()
+        stall = self._log_access()
+        if stall is not None:
+            yield stall
         return removed
 
     @_traced("xenstore.directory")
     def directory(self, domid: int, path: str):
         """Generator: XS_DIRECTORY."""
         yield from self._charge(path=path)
-        yield from self._log_access()
+        stall = self._log_access()
+        if stall is not None:
+            yield stall
         return self.tree.directory(path)
 
     @_traced("xenstore.watch")
@@ -601,7 +629,9 @@ class XenStoreDaemon:
         """Generator: XS_WATCH registration."""
         yield from self._charge(path=path)
         watch = self.watches.add(domid, path, token, callback)
-        yield from self._log_access()
+        stall = self._log_access()
+        if stall is not None:
+            yield stall
         return watch
 
     @_traced("xenstore.unwatch")
@@ -609,7 +639,9 @@ class XenStoreDaemon:
         """Generator: XS_UNWATCH."""
         yield from self._charge(path=watch.path)
         self.watches.remove(watch)
-        yield from self._log_access()
+        stall = self._log_access()
+        if stall is not None:
+            yield stall
 
     # ------------------------------------------------------------------
     # The O(N) unique-name admission check
@@ -634,7 +666,9 @@ class XenStoreDaemon:
         yield from self._charge(extra_us=scan_us, shards=self._all_shards())
         if self.tree.name_in_use(name):
             raise DuplicateNameError(name)
-        yield from self._log_access()
+        stall = self._log_access()
+        if stall is not None:
+            yield stall
 
     # ------------------------------------------------------------------
     # Batched mutations (one message round trip for N ops)
@@ -715,26 +749,30 @@ class XenStoreDaemon:
             self._node_counts[domid] = count + new_nodes
             if self.journal is not None:
                 self.journal.record_quota(domid, new_nodes)
+        # (path, parts) per modified path: a write's components, else
+        # None.
         modified = []
         for kind, path, value in ops:
             if kind == "write":
-                self.tree.write(path, value, owner_domid=domid)
+                parts = self.tree.write(path, value, owner_domid=domid)
                 if self.journal is not None:
                     self.journal.record_write(domid, path, value)
-                modified.append(path)
+                modified.append((path, parts))
             elif kind == "mkdir":
                 self.tree.mkdir(path, owner_domid=domid)
                 if self.journal is not None:
                     self.journal.record_mkdir(domid, path)
-                modified.append(path)
+                modified.append((path, None))
             elif self._remove(path):
-                modified.append(path)
+                modified.append((path, None))
         self.stats["batches"] += 1
         self.stats["batched_ops"] += len(ops)
-        for path in modified:
-            yield from self._fire_watches(path)
-        yield from self._log_access(lines=len(ops))
-        return modified
+        for path, parts in modified:
+            yield from self._fire_watches(path, parts)
+        stall = self._log_access(lines=len(ops))
+        if stall is not None:
+            yield stall
+        return [path for path, _parts in modified]
 
     # ------------------------------------------------------------------
     # Transactions
@@ -754,7 +792,9 @@ class XenStoreDaemon:
         """Generator: XS_READ inside a transaction."""
         yield from self._charge(path=path)
         self._check_tx_epoch(tx)
-        yield from self._log_access()
+        stall = self._log_access()
+        if stall is not None:
+            yield stall
         return tx.read(path)
 
     @_traced("xenstore.tx_exists")
@@ -762,7 +802,9 @@ class XenStoreDaemon:
         """Generator: existence check inside a transaction."""
         yield from self._charge(path=path)
         self._check_tx_epoch(tx)
-        yield from self._log_access()
+        stall = self._log_access()
+        if stall is not None:
+            yield stall
         return tx.exists(path)
 
     @_traced("xenstore.tx_write")
@@ -771,7 +813,9 @@ class XenStoreDaemon:
         yield from self._charge(path=path)
         self._check_tx_epoch(tx)
         tx.write(path, value)
-        yield from self._log_access()
+        stall = self._log_access()
+        if stall is not None:
+            yield stall
 
     @_traced("xenstore.tx_rm")
     def txn_rm(self, tx: Transaction, path: str):
@@ -779,7 +823,9 @@ class XenStoreDaemon:
         yield from self._charge(path=path)
         self._check_tx_epoch(tx)
         tx.rm(path)
-        yield from self._log_access()
+        stall = self._log_access()
+        if stall is not None:
+            yield stall
 
     @_traced("xenstore.batch")
     def txn_flush_staged(self, tx: Transaction, staged):
@@ -816,7 +862,9 @@ class XenStoreDaemon:
                 raise BatchError("unknown txn op kind %r" % (kind,))
         self.stats["batches"] += 1
         self.stats["batched_ops"] += len(staged)
-        yield from self._log_access(lines=len(staged))
+        stall = self._log_access(lines=len(staged))
+        if stall is not None:
+            yield stall
 
     @_traced("xenstore.txn_commit")
     def transaction_commit(self, tx: Transaction):
@@ -834,27 +882,34 @@ class XenStoreDaemon:
             extra_us=self.costs.txn_overhead_us + validate_us,
             shards=self._all_shards())
         self._check_tx_epoch(tx)
-        if self.faults.fires("xenstore.commit") is not None:
+        if self._injecting and \
+                self.faults.fires("xenstore.commit") is not None:
             tx.abort()
             self.stats["conflicts"] += 1
-            yield from self._log_access()
+            stall = self._log_access()
+            if stall is not None:
+                yield stall
             raise TransactionConflict(
                 "transaction %d invalidated (injected conflict)" % tx.tx_id)
         if self._ambient_clash(tx):
             tx.abort()
             self.stats["conflicts"] += 1
-            yield from self._log_access()
+            stall = self._log_access()
+            if stall is not None:
+                yield stall
             raise TransactionConflict(
                 "transaction %d invalidated by concurrent guest traffic"
                 % tx.tx_id)
         try:
-            modified = tx.commit()
+            modified = tx.commit_parts()
         except TransactionConflict:
             self.stats["conflicts"] += 1
-            yield from self._log_access()
+            stall = self._log_access()
+            if stall is not None:
+                yield stall
             raise
         if self.journal is not None:
-            # Journal the committed effects in the order tx.commit()
+            # Journal the committed effects in the order the commit
             # applied them: staged writes first (insertion order), then
             # the staged removals (replay tolerates already-gone paths
             # exactly like commit does).
@@ -863,9 +918,11 @@ class XenStoreDaemon:
             for path in tx.rm_set:
                 self.journal.record_rm(path)
         self.stats["commits"] += 1
-        for path in modified:
-            yield from self._fire_watches(path)
-        yield from self._log_access()
+        for path, parts in modified:
+            yield from self._fire_watches(path, parts)
+        stall = self._log_access()
+        if stall is not None:
+            yield stall
 
     def _ambient_clash(self, tx: Transaction) -> bool:
         """Draw whether ambient guest traffic invalidated ``tx``.
@@ -890,5 +947,7 @@ class XenStoreDaemon:
         """Generator: XS_TRANSACTION_END(commit=False)."""
         yield from self._charge()
         tx.abort()
-        yield from self._log_access()
+        stall = self._log_access()
+        if stall is not None:
+            yield stall
 

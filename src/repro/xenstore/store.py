@@ -10,6 +10,7 @@ creation times.
 
 from __future__ import annotations
 
+import types
 import typing
 
 
@@ -36,22 +37,27 @@ def split_path(path: str) -> typing.Tuple[str, ...]:
     return tuple(path[1:].rstrip("/").split("/"))
 
 
+#: The child map every leaf shares until :meth:`XenStoreTree.write` gives
+#: it its first child.  Read-only, so an insert anywhere else raises
+#: ``TypeError`` instead of growing every leaf at once.
+_NO_CHILDREN: typing.Mapping[str, "Node"] = types.MappingProxyType({})
+
+
 class Node:
-    """One tree node."""
+    """One tree node.  Its name is its key in the parent's child map."""
 
-    __slots__ = ("name", "value", "owner_domid", "children", "generation",
-                 "perms")
+    __slots__ = ("value", "owner_domid", "children", "generation", "perms")
 
-    def __init__(self, name: str, value: str = "", owner_domid: int = 0,
-                 generation: int = 0):
-        self.name = name
+    def __init__(self, value: str = "", owner_domid: int = 0,
+                 generation: int = 0, perms=None):
         self.value = value
         self.owner_domid = owner_domid
-        self.children: typing.Dict[str, "Node"] = {}
+        #: Child name -> node; :data:`_NO_CHILDREN` while a leaf.
+        self.children: typing.Mapping[str, "Node"] = _NO_CHILDREN
         self.generation = generation
         #: Explicit ACL (NodePerms) or None for the implicit owner-only
         #: default.
-        self.perms = None
+        self.perms = perms
 
 
 #: Path shape of guest-name nodes (``/local/domain/<id>/name``); ``None``
@@ -70,10 +76,20 @@ class XenStoreTree:
     (see DESIGN.md, "Modeled cost vs host cost").  All mutations funnel
     through :meth:`write` and :meth:`rm` — transactions commit through
     them too — so the index cannot drift from the tree.
+
+    The same two methods keep a **component table**: every node key
+    spelled ``part`` is the one string ``_keys[part]``, and
+    ``_key_uses[part]`` counts the live nodes keyed by it.  A guest's
+    ~100 nodes repeat components (``device``, ``vif``, its domid) that
+    thousands of other guests use too; without the table each node
+    would keep its own copy, as :func:`split_path` made it.  An entry
+    goes with the last node that uses it, so a dropped guest leaves
+    nothing behind (which ``sys.intern``, whose table outlives the
+    tree, would not guarantee).
     """
 
     def __init__(self):
-        self.root = Node("")
+        self.root = Node()
         #: Bumped on every mutation; transactions snapshot this.
         self.generation = 0
         #: Total nodes ever written (for accounting/benchmarks).
@@ -82,6 +98,10 @@ class XenStoreTree:
         #: it (normally 0 or 1; transient overlaps are possible while a
         #: rename is in flight).
         self._names: typing.Dict[str, int] = {}
+        #: Component table: component -> its one string, and -> the
+        #: number of live nodes keyed by it.
+        self._keys: typing.Dict[str, str] = {}
+        self._key_uses: typing.Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Lookup
@@ -180,10 +200,13 @@ class XenStoreTree:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def write(self, path: str, value: str, owner_domid: int = 0) -> None:
+    def write(self, path: str, value: str,
+              owner_domid: int = 0) -> typing.Tuple[str, ...]:
         """Write ``value`` at ``path``, creating intermediate nodes.
 
         Mirrors xenstored: a write implicitly mkdir-s missing parents.
+        Returns the path's components, so that firing the write's
+        watches need not parse the path again.
         """
         parts = split_path(path)
         if not parts:
@@ -206,14 +229,21 @@ class XenStoreTree:
         self.generation += 1
         node = self.root
         for part in parts:
-            if part not in node.children:
-                child = Node(part, owner_domid=owner_domid,
-                             generation=self.generation)
+            child = node.children.get(part)
+            if child is None:
                 # New nodes inherit the parent's ACL (xenstored
                 # semantics) so a directory grant covers later children.
-                child.perms = node.perms
-                node.children[part] = child
-            node = node.children[part]
+                child = Node("", owner_domid, self.generation, node.perms)
+                if node.children is _NO_CHILDREN:
+                    node.children = {}
+                key = self._keys.get(part)
+                if key is None:
+                    key = self._keys[part] = part
+                    self._key_uses[key] = 1
+                else:
+                    self._key_uses[key] += 1
+                node.children[key] = child
+            node = child
         node.value = value
         node.generation = self.generation
         node.owner_domid = owner_domid
@@ -225,6 +255,7 @@ class XenStoreTree:
                 if old_name is not None:
                     self._name_discard(old_name)
                 self._names[new_name] = self._names.get(new_name, 0) + 1
+        return parts
 
     def mkdir(self, path: str, owner_domid: int = 0) -> None:
         """Create an (empty-valued) directory node."""
@@ -243,25 +274,34 @@ class XenStoreTree:
             except KeyError:
                 raise NoEntError(path) from None
         leaf = parts[-1]
-        if leaf not in parent.children:
+        doomed = parent.children.get(leaf)
+        if doomed is None:
             raise NoEntError(path)
-        doomed = parent.children[leaf]
-        removed = self._subtree_size(doomed)
+        removed = self._release_subtree(leaf, doomed)
         for name in self._doomed_names(parts, doomed):
             self._name_discard(name)
         del parent.children[leaf]
+        if not parent.children:
+            parent.children = _NO_CHILDREN
         self.generation += 1
         parent.generation = self.generation
         return removed
 
-    @staticmethod
-    def _subtree_size(node: Node) -> int:
-        total = 1
-        stack = [node]
+    def _release_subtree(self, key: str, node: Node) -> int:
+        """Release the component of every node in the subtree of
+        ``node`` (keyed ``key``); returns the subtree's size."""
+        keys, uses = self._keys, self._key_uses
+        total = 0
+        stack = [(key, node)]
         while stack:
-            current = stack.pop()
-            total += len(current.children)
-            stack.extend(current.children.values())
+            key, node = stack.pop()
+            total += 1
+            count = uses[key] - 1
+            if count:
+                uses[key] = count
+            else:
+                del uses[key], keys[key]
+            stack.extend(node.children.items())
         return total
 
     # ------------------------------------------------------------------

@@ -109,6 +109,13 @@ class Transaction:
         Returns the list of modified paths (so the daemon can fire watches).
         Raises :class:`TransactionConflict` if validation fails.
         """
+        return [path for path, _parts in self.commit_parts()]
+
+    def commit_parts(self) -> typing.List[
+            typing.Tuple[str, typing.Optional[typing.Tuple[str, ...]]]]:
+        """:meth:`commit`, returning ``(path, parts)`` per modified path:
+        a write's components as the tree split them, None for a
+        removal."""
         self._check_open()
         if not self.validate():
             self.finished = True
@@ -116,12 +123,12 @@ class Transaction:
                 "transaction %d clashed; retry" % self.tx_id)
         modified = []
         for path, value in self.write_set.items():
-            self.tree.write(path, value, owner_domid=self.domid)
-            modified.append(path)
+            modified.append(
+                (path, self.tree.write(path, value, owner_domid=self.domid)))
         for path in self.rm_set:
             try:
                 self.tree.rm(path)
-                modified.append(path)
+                modified.append((path, None))
             except NoEntError:
                 pass  # removing a non-existent node inside a tx is a no-op
         self.finished = True

@@ -122,17 +122,23 @@ class WatchManager:
                 break
             del chain[depth - 1].children[parts[depth - 1]]
 
-    def fire(self, path: str) -> typing.List[Watch]:
+    def fire(self, path: str,
+             parts: typing.Optional[typing.Tuple[str, ...]] = None
+             ) -> typing.List[Watch]:
         """Deliver the watch events for a modification at ``path``.
 
-        Returns the watches that fired.  Callbacks run synchronously (the
-        daemon charges delivery latency separately).
+        ``parts`` is ``split_path(path)`` when the caller has it already
+        (:meth:`XenStoreTree.write` returns it).  Returns the watches
+        that fired.  Callbacks run synchronously (the daemon charges
+        delivery latency separately).
         """
         path = path.rstrip("/") or "/"
+        if parts is None:
+            parts = split_path(path)
         self.scans_total += self._count  # the daemon's linear scan
         level = self._root
         fired = level.watches[:]
-        for part in split_path(path):
+        for part in parts:
             level = level.children.get(part)
             if level is None:
                 break

@@ -6,6 +6,8 @@ from repro.core import Host, VARIANTS
 from repro.faults import FaultPlan, FaultRule
 from repro.guests import DAYTIME_UNIKERNEL, NOOP_UNIKERNEL
 from repro.hypervisor import DomainState
+from repro.toolstack.devices import DeviceSetupError, XsDeviceManager
+from repro.xenstore import MAX_TX_RETRIES
 
 
 @pytest.fixture(params=VARIANTS)
@@ -160,3 +162,57 @@ class TestCreationRecord:
             [host.sim.process(create()) for _ in range(6)]))
         assert sum(record.xenstore_retries for record in records) == \
             host.xenstore.stats["conflicts"] == 7
+
+
+class TestFailedDeviceSetup:
+    """Both failure branches of ``XsDeviceManager.create_device`` run
+    ``_cleanup_failed_create``: it leaves neither store entries nor a
+    pending request behind, the create fails typed, and after the
+    create's own rollback the host audits clean."""
+
+    @pytest.fixture
+    def cleanups(self, monkeypatch):
+        """What each cleanup left: (front entries, back entries, still
+        pending), read as soon as it returns, before the rollback."""
+        left = []
+        cleanup = XsDeviceManager._cleanup_failed_create
+
+        def spy(manager, domain, kind, index):
+            yield from cleanup(manager, domain, kind, index)
+            tree = manager.xenstore.tree
+            left.append((
+                tree.exists("/local/domain/%d/device/%s/%d"
+                            % (domain.domid, kind, index)),
+                tree.exists("/local/domain/0/backend/%s/%d"
+                            % (kind, domain.domid)),
+                (domain.domid, kind, index) in manager._pending))
+
+        monkeypatch.setattr(XsDeviceManager, "_cleanup_failed_create", spy)
+        return left
+
+    @pytest.mark.parametrize("variant", ["xl", "chaos+xs"])
+    def test_backend_that_never_responds(self, variant, cleanups):
+        host = Host(variant=variant, fault_plan=FaultPlan(seed=1, rules=(
+            FaultRule("xenstore.watch", probability=1.0),)))
+        with pytest.raises(DeviceSetupError,
+                           match="back-end never responded"):
+            host.create_vm(DAYTIME_UNIKERNEL)
+        assert cleanups == [(False, False, False)]
+        host.sim.run(until=host.sim.now + 500)
+        assert host.check_invariants() == []
+
+    @pytest.mark.parametrize("variant", ["xl", "chaos+xs"])
+    def test_device_transaction_out_of_retries(self, variant, cleanups):
+        # Commit 1 is the guest's registration; every attempt of its vif
+        # transaction follows.  probability=1.0 would fail the
+        # registration instead.
+        attempts = tuple(range(2, MAX_TX_RETRIES + 3))
+        host = Host(variant=variant, fault_plan=FaultPlan(rules=(
+            FaultRule("xenstore.commit", at=attempts),)))
+        with pytest.raises(DeviceSetupError,
+                           match="transaction retries exhausted"):
+            host.create_vm(DAYTIME_UNIKERNEL)
+        assert host.faults.injected == {"xenstore.commit": len(attempts)}
+        assert cleanups == [(False, False, False)]
+        host.sim.run(until=host.sim.now + 500)
+        assert host.check_invariants() == []
