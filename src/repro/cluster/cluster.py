@@ -18,7 +18,8 @@ message is pending, and every host reports zero outstanding work; the
 livelock guard (:data:`MAX_EPOCHS`) bounds broken scenarios.
 
 Backends implement ``run_epoch(epoch, window_end, batches)``,
-``finish()`` and ``close()``: :class:`InlineBackend` here (single
+``finish()`` and ``close()``, which closes the hosts of the nodes the
+backend steps in this process: :class:`InlineBackend` here (single
 process, the semantic reference) and ``ProcsBackend`` in
 :mod:`repro.cluster.procs` (hosts dealt into ``workers=N`` shares:
 share 0 stepped in this process, shares 1..N-1 in the children of a
@@ -71,7 +72,8 @@ class InlineBackend:
         return [node.summary() for node in self.nodes]
 
     def close(self) -> None:
-        pass
+        for node in self.nodes:
+            node.host.close()
 
 
 @dataclasses.dataclass

@@ -95,14 +95,6 @@ class HostNode:
             "responses": 0, "absorbed_faults": 0, "boot_ms_sum": 0.0,
             "latency_ms_sum": 0.0, "latency_ms_max": 0.0,
         }
-        self._handlers = {
-            "create": self._h_create,
-            "migrate_out": self._h_migrate_out,
-            "mig_in": self._h_mig_in,
-            "up": self._h_up,
-            "req": self._h_req,
-            "rsp": self._h_rsp,
-        }
         # Outbox batches close at the window boundary, via the kernel's
         # drain hook, not at send time: a send is only *in* epoch k once
         # the bounded run for k has completed.
@@ -177,7 +169,7 @@ class HostNode:
         self._seq += 1
 
     def _dispatch(self, msg: ClusterMessage) -> None:
-        self._handlers[msg.kind](msg)
+        _HANDLERS[msg.kind](self, msg)
 
     # ------------------------------------------------------------------
     # Placement commands
@@ -310,3 +302,15 @@ class HostNode:
     def _h_rsp(self, msg: ClusterMessage) -> None:
         sent_ms, served = msg.payload
         self._request_done(sent_ms, served)
+
+
+#: Message kind -> handler.  Plain functions, not a per-node dict of
+#: bound methods, which would tie every node into a reference cycle.
+_HANDLERS = {
+    "create": HostNode._h_create,
+    "migrate_out": HostNode._h_migrate_out,
+    "mig_in": HostNode._h_mig_in,
+    "up": HostNode._h_up,
+    "req": HostNode._h_req,
+    "rsp": HostNode._h_rsp,
+}

@@ -118,4 +118,9 @@ class ProcsBackend:
         # Before finish() the run has failed in this process (share 0,
         # the controller, the livelock guard) while a child may still be
         # in its epoch: stop the children rather than wait for them.
-        self._pool.close(abort=not self._finished)
+        # A child's own nodes end with its process.
+        try:
+            self._pool.close(abort=not self._finished)
+        finally:
+            for node in self.nodes:
+                node.host.close()

@@ -206,6 +206,16 @@ class Host:
         proc = self.sim.process(self.power.unpause(domain))
         self.sim.run(until=proc)
 
+    def close(self) -> None:
+        """End the host's life: close its simulator (see
+        :meth:`~repro.sim.engine.Simulator.close`) and unregister every
+        XenStore watch, so that dropping the last reference frees the
+        whole stack without the cyclic collector.  The host cannot run
+        again afterwards."""
+        self.sim.close()
+        if self.xenstore is not None:
+            self.xenstore.watches.clear()
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

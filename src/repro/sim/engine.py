@@ -116,6 +116,11 @@ class Simulator:
         self._order = itertools.count()
         self._timeout_pool: list = []
         self._cell_pool: list = []
+        #: Processes whose generator is still live, in spawn order (a
+        #: dict used as an ordered set).  A process enters at spawn and
+        #: leaves on every completion path; :meth:`close` ends the rest.
+        self._live: dict = {}
+        self._closed = False
         #: Number of events processed so far (for diagnostics/tests).
         self.processed_events = 0
         #: Optional :class:`repro.analysis.sanitize.Sanitizer` hook.
@@ -270,17 +275,6 @@ class Simulator:
         else:
             bucket.append(event)
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        times = self._times
-        buckets = self._buckets
-        while times:
-            head = times[0]
-            if head in buckets:
-                return head
-            heapq.heappop(times)  # stale entry; see module docstring
-        return float("inf")
-
     def step(self) -> None:
         """Process exactly one event.
 
@@ -288,6 +282,8 @@ class Simulator:
         the queue with an inlined copy of this dispatch.  ``step`` does
         not recycle pooled events — only the run loop does.
         """
+        if self._closed:
+            raise SimulationError("the simulator is closed")
         times = self._times
         buckets = self._buckets
         bucket = None
@@ -357,8 +353,11 @@ class Simulator:
         no matter how the windows interleave across OS processes.
 
         On every normal completion (numeric stop, event stop, or queue
-        drain) the registered ``drain_hooks`` run, in order.
+        drain) the registered ``drain_hooks`` run, in order.  A closed
+        simulator raises :class:`SimulationError`.
         """
+        if self._closed:
+            raise SimulationError("the simulator is closed")
         stop_event: typing.Optional[Event] = None
         stop_flag: typing.Optional[_StopFlag] = None
         stop_time = float("inf")
@@ -377,6 +376,7 @@ class Simulator:
         times = self._times
         tpool = self._timeout_pool
         cpool = self._cell_pool
+        live = self._live
         heappop = heapq.heappop
         processed = 0
         try:
@@ -441,6 +441,7 @@ class Simulator:
                                                         event._value))
                                 except StopIteration as stop:
                                     self.active_process = None
+                                    del live[cont]
                                     if cont._value is PENDING:
                                         # Inlined succeed(): no witness is
                                         # attached on this path, and the
@@ -454,6 +455,7 @@ class Simulator:
                                         cont.succeed(stop.value)
                                 except BaseException as exc:
                                     self.active_process = None
+                                    del live[cont]
                                     cont.fail(exc)
                                 else:
                                     self.active_process = None
@@ -528,3 +530,39 @@ class Simulator:
             for hook in self.drain_hooks:
                 hook(self)
         return None
+
+    # ------------------------------------------------------------------
+    # Lifetime
+    # ------------------------------------------------------------------
+    def close(self) -> None:
+        """End the simulator's life so that what it holds can be freed.
+
+        Closes the generator of every live process, in spawn order, so
+        that each runs its ``finally`` blocks and ``with`` exits, and
+        detaches it from the event it waited on.  Then drops every queued
+        event (those exits may have triggered more), the timeout and cell
+        pools and the drain hooks.  Call it between runs, not from inside
+        one.  Afterwards :meth:`run` and :meth:`step` raise
+        :class:`SimulationError`; a second ``close()`` does nothing.
+
+        Without it a finished simulator waits for the cyclic collector:
+        queued events point back at it, a parked process and the event it
+        waits on point at each other, and a drain hook's owner holds it
+        (DESIGN.md, "Object lifetime").
+        """
+        self._closed = True
+        live = self._live
+        try:
+            while live:
+                process = next(iter(live))
+                del live[process]
+                process._generator.close()
+                process._detach()
+        finally:
+            self._buckets.clear()
+            self._times.clear()
+            self._queue.clear()
+            self._timeout_pool.clear()
+            self._cell_pool.clear()
+            self.drain_hooks.clear()
+            self.active_process = None

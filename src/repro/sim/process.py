@@ -53,6 +53,7 @@ class Process(Event):
         #: Perpetual background services (pool replenishers, pollers) set
         #: this so the end-of-run deadlock sanitizer does not flag them.
         self.daemon = False
+        sim._live[self] = None
         if sim.sanitizer is not None:
             sim.sanitizer.track_process(self)
         if sim.witness is not None:
@@ -104,18 +105,7 @@ class Process(Event):
                 raise PendingInterrupt(
                     "process %r already has an undelivered interrupt; the "
                     "first interrupt's cause wins" % self.name)
-            # Detach from the abandoned wait so a long-lived shared event
-            # does not accumulate dead resume hooks (and the stale event,
-            # if it ever fires, finds nothing to wake).
-            if waiting._cont is self:
-                waiting._cont = None
-            else:
-                cbs = waiting.callbacks
-                if cbs.__class__ is list:
-                    try:
-                        cbs.remove(self._resume)
-                    except ValueError:
-                        pass
+            self._detach()
         pool = self.sim._cell_pool
         if pool:
             kick = pool.pop()
@@ -128,6 +118,24 @@ class Process(Event):
         kick._cont = self
         self._waiting_on = kick
         self.sim._push(kick)
+
+    def _detach(self) -> None:
+        """Stop waiting on ``_waiting_on``, so a long-lived shared event
+        does not accumulate dead resume hooks (and the stale event, if it
+        ever fires, finds nothing to wake)."""
+        waiting = self._waiting_on
+        if waiting is None:
+            return
+        self._waiting_on = None
+        if waiting._cont is self:
+            waiting._cont = None
+        else:
+            cbs = waiting.callbacks
+            if cbs.__class__ is list:
+                try:
+                    cbs.remove(self._resume)
+                except ValueError:
+                    pass
 
     def _resume(self, event: Event) -> None:
         # The run loop's trampoline inlines the hot path of this method
@@ -158,22 +166,28 @@ class Process(Event):
                     target = self._generator.throw(
                         typing.cast(BaseException, event._value))
             except StopIteration as stop:
+                del self.sim._live[self]
                 self.succeed(stop.value)
                 return
             except BaseException as exc:
+                del self.sim._live[self]
                 self.fail(exc)
                 return
         finally:
             self.sim.active_process = prev
         self._wait_for(target)
 
+    def _end(self, exc: BaseException) -> None:
+        """Close the generator, so ``finally`` blocks in the guest body
+        run, and fail the process with ``exc``."""
+        del self.sim._live[self]
+        self._generator.close()
+        self.fail(exc)
+
     def _wait_for(self, target: object) -> None:
         if isinstance(target, Event):
             if target.sim is not self.sim:
-                # Close the generator first so ``finally`` blocks in the
-                # guest body run, exactly like the sibling error paths.
-                self._generator.close()
-                self.fail(ValueError("yielded event belongs to another "
+                self._end(ValueError("yielded event belongs to another "
                                      "simulator"))
                 return
             self._waiting_on = target
@@ -191,14 +205,12 @@ class Process(Event):
             except ValueError as exc:
                 # A negative delay is the *process's* bug: fail it rather
                 # than crashing the whole simulation run loop.
-                self._generator.close()
-                self.fail(exc)
+                self._end(exc)
                 return
             # A fresh timeout has no subscribers yet; intern directly.
             self._waiting_on = target
             target._cont = self
             return
-        self._generator.close()
-        self.fail(TypeError(
+        self._end(TypeError(
             "process %r yielded %r; expected an Event, Process or a "
             "numeric delay" % (self.name, target)))

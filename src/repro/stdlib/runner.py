@@ -26,6 +26,12 @@ leaked state, and the invariant violations go into the run's record.
 There a typed (``ABSORBED``) failure is counted, and any other error a
 create, destroy or recovery pass raises becomes a violation instead of
 ending the run.
+
+A VM storm closes the host it built once its result is assembled
+(:meth:`~repro.core.host.Host.close`), and so do the cluster backends
+for every node's host.  Dropping the result then frees the run by
+reference counting, without waiting for the cyclic collector.  A
+caller's ``sim`` and a ``keep_host=True`` host stay open.
 """
 
 from __future__ import annotations
@@ -87,8 +93,7 @@ def run_scenario(spec: ScenarioSpec, seed: int = 0,
         return _cluster_scenario(spec, seed, workers)
     runtime = spec.guest.runtime
     if runtime == "vm":
-        return _vm_storm(spec, seed, keep_host,
-                         sim if sim is not None else Simulator())
+        return _vm_storm(spec, seed, keep_host, sim)
     if runtime == "container":
         return _container_storm(spec, seed)
     if runtime == "process":
@@ -154,7 +159,12 @@ def _audited_call(escaped: typing.List[str], call, *args) -> int:
 
 
 def _vm_storm(spec: ScenarioSpec, seed: int, keep_host: bool,
-              sim: Simulator) -> ScenarioResult:
+              sim: typing.Optional[Simulator]) -> ScenarioResult:
+    # Close only what this run built: a caller's simulator and a kept
+    # host stay open.
+    close = sim is None and not keep_host
+    if sim is None:
+        sim = Simulator()
     trace = EventTrace().attach(sim)
     image = spec.guest.build()
     fault_plan = spec.faults.build(seed)
@@ -175,8 +185,12 @@ def _vm_storm(spec: ScenarioSpec, seed: int, keep_host: bool,
     for index in range(spec.guests):
         try:
             record = host.create_vm(image)
-        except ABSORBED:
+        except ABSORBED as exc:
             failures += 1
+            # Its traceback holds the frames of create_vm and run, which
+            # hold the failed process, whose value is this exception: a
+            # cycle through the whole host.
+            exc.__traceback__ = None
         except Exception as exc:
             if not audited:
                 raise
@@ -222,13 +236,16 @@ def _vm_storm(spec: ScenarioSpec, seed: int, keep_host: bool,
         stats["create_ms_max"] = max(creates)
         stats["total_ms_max"] = max(totals)
         stats["boot_ms_sum"] = sum(boots)
-    return ScenarioResult(
+    result = ScenarioResult(
         scenario=spec.name, mode="host", seed=seed,
         digest=trace.digest(), events=trace.events, sim_ms=sim.now,
         stats=stats,
         series={"create_ms": creates, "boot_ms": boots,
                 "total_ms": totals},
         host=host if keep_host else None, violations=violations)
+    if close:
+        host.close()
+    return result
 
 
 # ----------------------------------------------------------------------

@@ -10,11 +10,15 @@ running process as :attr:`Simulator.active_process`).
 
 Design constraints, in priority order:
 
-* **Zero cost when disabled.**  Instrumented call sites obtain their
+* **Cheap when disabled.**  Instrumented call sites obtain their
   tracer with :func:`tracer_of`, which returns the shared
   :data:`NULL_TRACER` when no tracer is attached; its ``span()`` hands
-  back one reusable no-op context manager, so an untraced run pays an
-  attribute read and a method call per site and allocates nothing.
+  back one reusable no-op context manager, and its ``instant()`` does
+  nothing.  An untraced site still pays the :func:`tracer_of` call and
+  the method call, plus whatever its arguments cost: ``span(name,
+  **attrs)`` builds a keyword dict for the attributes, and a computed
+  name is built before it is thrown away (``Hypervisor._count``
+  concatenates ``"hypercall." + op`` on every hypercall).
 * **The timeline is read-only.**  A tracer never schedules events, never
   draws randomness and never advances the clock — it only samples
   ``sim.now`` at enter/exit.  That is what makes the acceptance property

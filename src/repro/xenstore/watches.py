@@ -108,6 +108,15 @@ class WatchManager:
         self._count -= removed
         return removed
 
+    def clear(self) -> None:
+        """Unregister every watch.  A watch's callback is typically a
+        bound method of a component that holds a client of this daemon,
+        so a live registry ties the daemon into a reference cycle with
+        everyone watching it; a closing host clears it."""
+        self._root = _Level()
+        self._levels = {}
+        self._count = 0
+
     def _drop(self, path: str) -> None:
         """Forget the now watch-less level of ``path`` and prune every
         level on its chain left with neither watches nor children."""

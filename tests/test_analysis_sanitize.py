@@ -2,6 +2,7 @@
 
 import enum
 import hashlib
+import random
 import typing
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from repro.analysis import (EventTrace, ReplayDivergence, Sanitizer,
                             SanitizerViolation, assert_replay_identical,
                             canonical, verify_replay)
+from repro.analysis.sanitize import _CHUNK_LINES
 from repro.sim import (Resource, RngRegistry, RngStream, SimulationError,
                        Simulator, Store)
 
@@ -288,6 +290,59 @@ class TestEventTraceRecord:
         assert trace.events == len(stream)
         assert trace.digest() == (
             "49e86b176db5d41b907310f97786201374c100e997c0c2af0dc5f89771cdc8c4")
+
+    @given(st.lists(st.tuples(st.floats(), stand_in_events), min_size=1,
+                    max_size=12),
+           st.integers(min_value=2 * _CHUNK_LINES + 1,
+                       max_value=3 * _CHUNK_LINES + 40),
+           st.integers(min_value=0, max_value=2 ** 32),
+           st.sets(st.integers(min_value=0, max_value=3 * _CHUNK_LINES + 40),
+                   max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_long_streams_with_mid_stream_reads_match_reference(
+            self, pool, length, seed, reads):
+        # More than two buffered chunks, drawn from a small pool so that
+        # consecutive records often share one ``when`` object; the digest
+        # is read at the chunk boundaries, just past them and at random
+        # points, and recording resumes after each read.
+        rng = random.Random(seed)
+        stream = [rng.choice(pool) for _ in range(length)]
+        reads |= {_CHUNK_LINES - 1, _CHUNK_LINES, _CHUNK_LINES + 1,
+                  2 * _CHUNK_LINES, length}
+        trace, reference = EventTrace(), ReferenceTrace()
+        for index, (when, event) in enumerate(stream):
+            if index in reads:
+                assert trace.digest() == reference.digest()
+                assert trace.events == reference.events == index
+            trace.record(when, event)
+            reference.record(when, event)
+        assert trace.digest() == reference.digest()
+        assert trace.events == reference.events == length
+
+    @pytest.mark.parametrize("length", [1, _CHUNK_LINES - 1, _CHUNK_LINES,
+                                        _CHUNK_LINES + 1, 2 * _CHUNK_LINES + 3])
+    def test_partial_chunk_is_hashed(self, length):
+        stream = [(float(index), STAND_INS["Timeout"]())
+                  for index in range(length)]
+        trace = _record_all(EventTrace(), stream)
+        assert trace.digest() == _record_all(ReferenceTrace(),
+                                             stream).digest()
+
+    def test_shared_when_object_and_signed_zero(self):
+        # One float object for a batch, as the run loop passes it; then
+        # -0.0 right after 0.0, which compare equal but hex differently.
+        now = 1.5
+        zero, negative_zero = 0.0, float("-0.0")
+        event = STAND_INS["Event"]
+        stream = [(now, event()), (now, event(True, 7)), (now, event()),
+                  (zero, event()), (negative_zero, event()),
+                  (negative_zero, event(True, 0.5)), (zero, event())]
+        trace = _record_all(EventTrace(), stream)
+        assert trace.digest() == _record_all(ReferenceTrace(),
+                                             stream).digest()
+        unsigned = [(zero if when == 0 else when, ev) for when, ev in stream]
+        assert trace.digest() != _record_all(EventTrace(),
+                                             unsigned).digest()
 
     def test_message_token_digest_is_pinned(self):
         # Cross-host message tokens, (kind, epoch, src, seq, payload), as

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import Interrupt, PendingInterrupt, Simulator
+from repro.sim import (Interrupt, PendingInterrupt, Resource, SimulationError,
+                       Simulator)
 
 
 def test_process_runs_and_returns_value():
@@ -336,3 +337,99 @@ def test_interrupt_after_delivery_is_accepted_again():
     sim.process(interrupter())
     sim.run(until=50.0)
     assert causes == ["one", "two"]
+
+
+# ----------------------------------------------------------------------
+# The live-process registry and Simulator.close()
+# ----------------------------------------------------------------------
+
+def test_registry_holds_exactly_the_live_processes_in_spawn_order():
+    sim = Simulator()
+    shared = sim.event()
+
+    def returns():
+        yield 1.0
+
+    def raises():
+        yield 1.0
+        raise ValueError("boom")
+
+    def bad_yield():
+        yield "not an event"
+
+    def joins():
+        # The second subscriber of ``shared``: resumed through the
+        # callback list, not the continuation slot.
+        yield shared
+
+    def parked():
+        yield sim.event()
+
+    procs = [sim.process(gen()) for gen in
+             (returns, raises, bad_yield, joins, joins, parked)]
+    for proc in procs[1:3]:
+        proc.defused = True  # failures the test expects
+    assert list(sim._live) == procs
+    sim.schedule(2.0, shared.succeed)
+    sim.run()
+    assert list(sim._live) == [procs[5]]
+
+
+def test_close_runs_finally_blocks_and_with_exits_in_spawn_order():
+    sim = Simulator()
+    resource = Resource(sim)
+    log = []
+
+    def holder():
+        with resource.request() as req:
+            yield req
+            try:
+                yield sim.timeout(100.0)
+            finally:
+                log.append(("holder", sim.now))
+
+    def waiter():
+        with resource.request() as req:
+            try:
+                yield req
+            finally:
+                log.append(("waiter", resource.count))
+
+    sim.process(holder())
+    sim.process(waiter())
+    sim.run(until=10.0)
+    sim.close()
+    # Closing the holder released the resource and granted the waiter's
+    # request, which queued an event into the closing simulator.
+    assert log == [("holder", 10.0), ("waiter", 1)]
+    assert resource.count == 0 and not resource.queue
+    assert sim._live == {} and sim._buckets == {} and sim._times == []
+    assert not sim._timeout_pool and not sim._cell_pool
+
+
+def test_close_detaches_parked_processes_and_drops_hooks():
+    sim = Simulator()
+    event = sim.event()
+
+    def parked():
+        yield event
+
+    proc = sim.process(parked())
+    sim.drain_hooks.append(lambda _sim: None)
+    sim.run()
+    assert event._cont is proc and proc._waiting_on is event
+    sim.close()
+    assert event._cont is None and proc._waiting_on is None
+    assert proc._generator.gi_frame is None
+    assert sim.drain_hooks == []
+
+
+def test_closed_simulator_refuses_to_run():
+    sim = Simulator()
+    sim.timeout(1.0)
+    sim.close()
+    sim.close()  # a second close does nothing
+    with pytest.raises(SimulationError, match="closed"):
+        sim.run()
+    with pytest.raises(SimulationError, match="closed"):
+        sim.step()
