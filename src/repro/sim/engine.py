@@ -68,8 +68,8 @@ import heapq
 import itertools
 import typing
 
-from .events import (AllOf, AnyOf, Event, PENDING, SimulationError, Timeout,
-                     _Cell)
+from .events import (AllOf, AnyOf, Condition, Event, PENDING,
+                     SimulationError, Timeout, _Cell)
 from .process import Process
 
 #: Upper bound on pooled ``call_later`` timeouts kept for reuse; beyond
@@ -539,7 +539,8 @@ class Simulator:
 
         Closes the generator of every live process, in spawn order, so
         that each runs its ``finally`` blocks and ``with`` exits, and
-        detaches it from the event it waited on.  Then drops every queued
+        detaches it from the event it waited on; a condition it waited
+        on also leaves its pending children.  Then drops every queued
         event (those exits may have triggered more), the timeout and cell
         pools and the drain hooks.  Call it between runs, not from inside
         one.  Afterwards :meth:`run` and :meth:`step` raise
@@ -556,8 +557,13 @@ class Simulator:
             while live:
                 process = next(iter(live))
                 del live[process]
+                waiting = process._waiting_on
                 process._generator.close()
                 process._detach()
+                if isinstance(waiting, Condition):
+                    # Its pending children would keep it, and through
+                    # them this simulator, in a cycle.
+                    waiting._unsubscribe()
         finally:
             self._buckets.clear()
             self._times.clear()

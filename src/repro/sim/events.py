@@ -303,6 +303,17 @@ class Condition(Event):
     def _check(self, event: Event) -> None:
         raise NotImplementedError
 
+    def _unsubscribe(self) -> None:
+        """Drop ``_check`` from every child not yet processed."""
+        check = self._check
+        for event in self.events:
+            cbs = event.callbacks
+            if cbs.__class__ is list:
+                try:
+                    cbs.remove(check)
+                except ValueError:
+                    pass
+
 
 class AllOf(Condition):
     """Succeeds when every child event has succeeded.
@@ -340,9 +351,22 @@ class AnyOf(Condition):
     at the same instant), the result must include *all* of them, not just
     the one whose ``_check`` ran first — incremental collection would
     change the payload, and with it the replay digest.
+
+    Once triggered it unsubscribes from every child not yet processed.
+    A child that never fires (the signal a timeout beat) would otherwise
+    keep ``_check`` on its callback list, and with it this event, its
+    children and its payload, in a cycle only the collector frees.  A
+    stale ``_check`` returns at its first line, so dropping it changes
+    no timeline.
     """
 
     __slots__ = ()
+
+    def __init__(self, sim: "Simulator", events: typing.Sequence[Event]):
+        super().__init__(sim, events)
+        if self._value is not PENDING:
+            # A child processed before construction triggered it.
+            self._unsubscribe()
 
     def _check(self, event: Event) -> None:
         if self._value is not PENDING:
@@ -350,5 +374,6 @@ class AnyOf(Condition):
         if not event._ok:
             event.defused = True
             self.fail(typing.cast(BaseException, event._value))
-            return
-        self.succeed(self._collect())
+        else:
+            self.succeed(self._collect())
+        self._unsubscribe()

@@ -10,7 +10,7 @@ from __future__ import annotations
 import collections
 import typing
 
-from .events import Event
+from .events import PENDING, Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .engine import Simulator
@@ -22,7 +22,14 @@ class Request(Event):
     __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource"):
-        super().__init__(resource.sim)
+        # Flattened Event.__init__, as in Timeout: one request per
+        # XenStore op makes this a hot allocation.
+        self.sim = resource.sim
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = None
+        self.defused = False
+        self._cont = None
         self.resource = resource
 
     def __enter__(self) -> "Request":
@@ -68,7 +75,16 @@ class Resource:
         req = Request(self)
         if len(self.users) < self.capacity:
             self.users.append(req)
-            req.succeed()
+            sim = self.sim
+            if sim.witness is None:
+                # Granted in place: ``succeed()`` on a fresh request
+                # does exactly this once its double-trigger check and
+                # witness hook have nothing to do.
+                req._ok = True
+                req._value = None
+                sim._push(req)
+            else:
+                req.succeed()
         else:
             self.queue.append(req)
         return req

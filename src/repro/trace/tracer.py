@@ -18,7 +18,10 @@ Design constraints, in priority order:
   the method call, plus whatever its arguments cost: ``span(name,
   **attrs)`` builds a keyword dict for the attributes, and a computed
   name is built before it is thrown away (``Hypervisor._count``
-  concatenates ``"hypercall." + op`` on every hypercall).
+  concatenates ``"hypercall." + op`` on every hypercall).  XenStore op
+  spans pay none of this: :func:`traced_op` opens them only when a
+  tracer is attached at the moment the op is called, and an untraced
+  op runs the daemon verb's own generator.
 * **The timeline is read-only.**  A tracer never schedules events, never
   draws randomness and never advances the clock — it only samples
   ``sim.now`` at enter/exit.  That is what makes the acceptance property
@@ -129,6 +132,23 @@ def tracer_of(sim: typing.Optional["Simulator"]):
         return NULL_TRACER
     tracer = sim.tracer
     return NULL_TRACER if tracer is None else tracer
+
+
+def traced_op(sim: "Simulator", name: str, gen: typing.Generator):
+    """``gen`` itself when no tracer is attached to ``sim``; otherwise a
+    generator that runs ``gen`` inside a ``name`` span.
+
+    For generator operations called on hot paths (the XenStore verbs):
+    an untraced call adds no frame, no context manager and no span."""
+    tracer = sim.tracer
+    if tracer is None:
+        return gen
+    return _in_span(tracer, name, gen)
+
+
+def _in_span(tracer: "Tracer", name: str, gen: typing.Generator):
+    with tracer.span(name):
+        return (yield from gen)
 
 
 class Tracer:

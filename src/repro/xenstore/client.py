@@ -21,7 +21,11 @@ with ``yield from`` inside a simulation process, exactly like the old
 surface.  The handle layer is plain-function delegation: it adds no
 simulation events, which is what keeps ``workers=1`` EventTrace digests
 byte-identical to the pre-redesign daemon
-(``tests/test_xenstore_digest_identity.py`` pins this).
+(``tests/test_xenstore_digest_identity.py`` pins this).  It is also where
+XenStore op spans open: with a tracer attached when the op is called,
+the verb's generator runs inside its ``xenstore.<op>`` span
+(:func:`~repro.trace.tracer.traced_op`); without one, the client returns
+the verb's own generator.
 
 The client resolves daemon verbs by name with a legacy fallback
 (``read`` → ``op_read``), so it also drives the frozen pre-redesign
@@ -34,7 +38,7 @@ import typing
 
 from ..faults.plan import DaemonRestarted, Overloaded
 from ..faults.retry import RetryExhausted, RetryPolicy
-from ..trace.tracer import tracer_of
+from ..trace.tracer import traced_op, tracer_of
 from .transaction import Transaction, TransactionConflict
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -94,6 +98,7 @@ class XsClient:
     def __init__(self, daemon: "XenStoreDaemon", domid: int = DOM0_ID):
         self.daemon = daemon
         self.domid = domid
+        self.sim = daemon.sim
         # Resolve verbs once — these are the hottest call paths in a
         # creation storm, and the getattr fallback should not run per op.
         self._read = _resolve(daemon, "read", "op_read")
@@ -101,7 +106,6 @@ class XsClient:
         self._mkdir = _resolve(daemon, "mkdir", "op_mkdir")
         self._rm = _resolve(daemon, "rm", "op_rm")
         self._directory = _resolve(daemon, "directory", "op_directory")
-        self._get_perms = _resolve(daemon, "get_perms", "op_get_perms")
         self._set_perms = _resolve(daemon, "set_perms", "op_set_perms")
         self._watch = _resolve(daemon, "watch", "op_watch")
         self._unwatch = _resolve(daemon, "unwatch", "op_unwatch")
@@ -124,43 +128,48 @@ class XsClient:
     # -- simple operations (each returns a daemon generator) -----------
     def read(self, path: str):
         """Generator: XS_READ as this client's domain."""
-        return self._read(self.domid, path)
+        return traced_op(self.sim, "xenstore.read",
+                         self._read(self.domid, path))
 
     def write(self, path: str, value: str):
         """Generator: XS_WRITE (fires watches)."""
-        return self._write(self.domid, path, value)
+        return traced_op(self.sim, "xenstore.write",
+                         self._write(self.domid, path, value))
 
     def mkdir(self, path: str):
         """Generator: XS_MKDIR."""
-        return self._mkdir(self.domid, path)
+        return traced_op(self.sim, "xenstore.mkdir",
+                         self._mkdir(self.domid, path))
 
     def rm(self, path: str):
         """Generator: XS_RM (recursive); returns nodes removed."""
-        return self._rm(self.domid, path)
+        return traced_op(self.sim, "xenstore.rm",
+                         self._rm(self.domid, path))
 
     def directory(self, path: str):
         """Generator: XS_DIRECTORY."""
-        return self._directory(self.domid, path)
-
-    def get_perms(self, path: str):
-        """Generator: XS_GET_PERMS."""
-        return self._get_perms(self.domid, path)
+        return traced_op(self.sim, "xenstore.directory",
+                         self._directory(self.domid, path))
 
     def set_perms(self, path: str, perms):
         """Generator: XS_SET_PERMS."""
-        return self._set_perms(self.domid, path, perms)
+        return traced_op(self.sim, "xenstore.set_perms",
+                         self._set_perms(self.domid, path, perms))
 
     def watch(self, path: str, token: str, callback):
         """Generator: XS_WATCH; returns the Watch handle."""
-        return self._watch(self.domid, path, token, callback)
+        return traced_op(self.sim, "xenstore.watch",
+                         self._watch(self.domid, path, token, callback))
 
     def unwatch(self, watch):
         """Generator: XS_UNWATCH."""
-        return self._unwatch(self.domid, watch)
+        return traced_op(self.sim, "xenstore.unwatch",
+                         self._unwatch(self.domid, watch))
 
     def check_unique_name(self, name: str):
         """Generator: the O(N) unique-name admission check."""
-        return self._check_unique_name(self.domid, name)
+        return traced_op(self.sim, "xenstore.check_unique_name",
+                         self._check_unique_name(self.domid, name))
 
     # -- batching -------------------------------------------------------
     def batch(self) -> "XsBatch":
@@ -185,7 +194,7 @@ class XsClient:
 
     def _retry_transaction(self, body, policy: RetryPolicy, rng):
         daemon = self.daemon
-        sim = daemon.sim
+        sim = self.sim
         retries = 0
         shed = 0
         started = sim.now
@@ -194,11 +203,14 @@ class XsClient:
                                  domid=self.domid) as txn_span:
             while True:
                 try:
-                    tx = yield from daemon.transaction_start(self.domid)
+                    tx = yield from traced_op(
+                        sim, "xenstore.txn_start",
+                        daemon.transaction_start(self.domid))
                     txn = XsTxn(self, tx)
                     yield from body(txn)
                     yield from txn._flush()
-                    yield from daemon.transaction_commit(tx)
+                    yield from traced_op(sim, "xenstore.txn_commit",
+                                         daemon.transaction_commit(tx))
                     if retries:
                         txn_span.set(retries=retries)
                     return retries
@@ -277,16 +289,16 @@ class XsBatch:
         """Generator: flush the staged ops; returns modified paths."""
         self._committed = True
         ops, self.ops = self.ops, []
-        apply_batch = getattr(self.client.daemon, "apply_batch", None)
-        if apply_batch is not None:
-            return self._commit_via_daemon(apply_batch, ops)
-        return self._commit_sequential(ops)
+        return self._commit(ops)
 
-    def _commit_via_daemon(self, apply_batch, ops):
+    def _commit(self, ops):
+        client = self.client
         attempt = 0
         while True:
             try:
-                modified = yield from apply_batch(self.client.domid, ops)
+                modified = yield from traced_op(
+                    client.sim, "xenstore.batch",
+                    client.daemon.apply_batch(client.domid, ops))
             except (DaemonRestarted, Overloaded):
                 # The batch had no durable effect (the crash point fires
                 # before mutation; shedding happens at admission), so
@@ -295,31 +307,11 @@ class XsBatch:
                 attempt += 1
                 if attempt > RECOVERY_RETRY_POLICY.max_retries:
                     raise
-                yield self.client.daemon.sim.timeout(
+                yield client.sim.timeout(
                     RECOVERY_RETRY_POLICY.backoff_ms(attempt, None))
                 continue
             self.modified = modified
             return modified
-
-    def _commit_sequential(self, ops):
-        # Pre-batching daemons (the frozen digest reference): replay the
-        # ops as individual round trips through the client verbs.
-        client = self.client
-        modified = []
-        for kind, path, value in ops:
-            if kind == "write":
-                yield from client.write(path, value)
-                modified.append(path)
-            elif kind == "mkdir":
-                yield from client.mkdir(path)
-                modified.append(path)
-            elif kind == "rm":
-                if (yield from client.rm(path)):
-                    modified.append(path)
-            else:
-                raise ValueError("unknown batch op kind %r" % (kind,))
-        self.modified = modified
-        return modified
 
 
 class XsTxn:
@@ -345,14 +337,18 @@ class XsTxn:
     def read(self, path: str):
         """Generator: XS_READ inside the transaction."""
         if not self._batched or not self._staged:
-            return self.client._txn_read(self.tx, path)
-        return self._flush_then(self.client._txn_read, path)
+            return traced_op(self.client.sim, "xenstore.tx_read",
+                             self.client._txn_read(self.tx, path))
+        return self._flush_then(self.client._txn_read, "xenstore.tx_read",
+                                path)
 
     def exists(self, path: str):
         """Generator: existence check inside the transaction."""
         if not self._batched or not self._staged:
-            return self.client._txn_exists(self.tx, path)
-        return self._flush_then(self.client._txn_exists, path)
+            return traced_op(self.client.sim, "xenstore.tx_exists",
+                             self.client._txn_exists(self.tx, path))
+        return self._flush_then(self.client._txn_exists,
+                                "xenstore.tx_exists", path)
 
     def write(self, path: str, value: str):
         """Generator: XS_WRITE inside the transaction (staged on
@@ -360,18 +356,21 @@ class XsTxn:
         if self._batched:
             self._staged.append(("write", path, value))
             return iter(())
-        return self.client._txn_write(self.tx, path, value)
+        return traced_op(self.client.sim, "xenstore.tx_write",
+                         self.client._txn_write(self.tx, path, value))
 
     def rm(self, path: str):
         """Generator: XS_RM inside the transaction."""
         if self._batched:
             self._staged.append(("rm", path, None))
             return iter(())
-        return self.client._txn_rm(self.tx, path)
+        return traced_op(self.client.sim, "xenstore.tx_rm",
+                         self.client._txn_rm(self.tx, path))
 
-    def _flush_then(self, verb, path):
+    def _flush_then(self, verb, name: str, path: str):
         yield from self._flush()
-        return (yield from verb(self.tx, path))
+        return (yield from traced_op(self.client.sim, name,
+                                     verb(self.tx, path)))
 
     def _flush(self):
         """Generator: push staged ops into the transaction (one batched
@@ -379,4 +378,6 @@ class XsTxn:
         if not self._staged:
             return
         staged, self._staged = self._staged, []
-        yield from self.client.daemon.txn_flush_staged(self.tx, staged)
+        client = self.client
+        yield from traced_op(client.sim, "xenstore.batch",
+                             client.daemon.txn_flush_staged(self.tx, staged))

@@ -6,7 +6,9 @@ driven inside a simulation process — normally via a
 :class:`repro.xenstore.client.XsClient` handle (``yield from
 client.write(...)``): they serialize on the daemon's worker shards,
 charge protocol latency, fire watches and write log lines — reproducing
-every §4.2 overhead:
+every §4.2 overhead.  The verbs open no spans themselves: the client
+wraps an op in its ``xenstore.<op>`` span only when a tracer is attached
+(:func:`repro.trace.tracer.traced_op`).  The overheads:
 
 * per-op message/ack round trips (software interrupts + domain crossings);
 * watch scans over a registry that grows with the number of VMs;
@@ -29,7 +31,6 @@ round trip (:meth:`XenStoreDaemon.apply_batch`).
 
 from __future__ import annotations
 
-import functools
 import math
 import typing
 import zlib
@@ -38,7 +39,7 @@ from ..faults.plan import (NULL_INJECTOR, DaemonRestarted, MessageTimeout,
                            Overloaded)
 from ..faults.retry import RetryBudgetExhausted, RetryPolicy
 from ..sim.resources import Resource
-from ..trace.tracer import tracer_of
+from ..trace.tracer import traced_op, tracer_of
 from .accesslog import AccessLog
 from .protocol import XenStoreCosts
 from .store import XenStoreTree, split_path
@@ -47,24 +48,6 @@ from .watches import Watch, WatchManager
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..sim.engine import Simulator
-
-
-def _traced(name: str):
-    """Wrap a generator op so it runs inside a ``xenstore.<op>`` span
-    (a no-op when no tracer is attached to the simulator)."""
-    def decorate(fn):
-        @functools.wraps(fn)
-        def wrapper(self, *args, **kwargs):
-            if self.sim.tracer is None:
-                # Fast path: skip the context manager and the null-span
-                # allocation entirely — XenStore ops are the hottest
-                # generator stack in a creation storm.
-                return (yield from fn(self, *args, **kwargs))
-            with tracer_of(self.sim).span(name):
-                result = yield from fn(self, *args, **kwargs)
-            return result
-        return wrapper
-    return decorate
 
 
 class DuplicateNameError(RuntimeError):
@@ -138,6 +121,11 @@ class XenStoreDaemon:
         #: Weighted count of connected running guests generating ambient
         #: traffic (see :meth:`register_client`).
         self.ambient_clients = 0.0
+        #: :meth:`_load_factor` for the current ``ambient_clients``,
+        #: refreshed wherever the daemon changes them (register,
+        #: unregister, restart); every op latency and watch delay reads
+        #: it.
+        self._load = self._load_factor()
         self.stats = {
             "ops": 0,
             "commits": 0,
@@ -223,16 +211,11 @@ class XenStoreDaemon:
         return 1.0 / (1.0 - rho)
 
     def _op_latency_ms(self, extra_us: float = 0.0) -> float:
-        # The implementation factor, then :meth:`_load_factor` inlined on
-        # this hot path: the same float operations in the same order.
         costs = self.costs
         base = costs.op_base_ms() + extra_us / 1000.0
         if self.implementation == "cxenstored":
             base *= costs.cxenstored_multiplier
-        rho = min(costs.ambient_util_cap,
-                  self.ambient_clients * costs.ambient_util_per_client
-                  / self.workers)
-        return base * (1.0 / (1.0 - rho))
+        return base * self._load
 
     def register_client(self, weight: float = 1.0) -> None:
         """A guest connected its xenbus (it is now running).
@@ -242,12 +225,14 @@ class XenStoreDaemon:
         than a single-purpose unikernel.
         """
         self.ambient_clients += weight
+        self._load = self._load_factor()
         if self.journal is not None:
             self.journal.record_register(weight)
 
     def unregister_client(self, weight: float = 1.0) -> None:
         """A guest disconnected (destroyed/suspended)."""
         self.ambient_clients = max(0.0, self.ambient_clients - weight)
+        self._load = self._load_factor()
         if self.journal is not None:
             self.journal.record_unregister(weight)
 
@@ -348,6 +333,7 @@ class XenStoreDaemon:
             self.tree = tree
             self._node_counts = counts
             self.ambient_clients = ambient
+            self._load = self._load_factor()
             self.stats["restarts"] += 1
             self.stats["replayed"] += len(self.journal)
             self._crashed = False
@@ -358,9 +344,10 @@ class XenStoreDaemon:
 
     def _check_tx_epoch(self, tx: Transaction) -> None:
         """Invalidate transactions opened before the last restart: their
-        snapshot (and their ``tx.tree`` reference) predate the replay."""
-        if self.journal is not None and \
-                getattr(tx, "epoch", self.epoch) != self.epoch:
+        snapshot (and their ``tx.tree`` reference) predate the replay.
+        Only a journaled daemon restarts, so the verbs call this only
+        when a journal is attached."""
+        if getattr(tx, "epoch", self.epoch) != self.epoch:
             raise DaemonRestarted(
                 "transaction %d predates the daemon restart (epoch %d)"
                 % (tx.tx_id, self.epoch))
@@ -480,9 +467,14 @@ class XenStoreDaemon:
         return None
 
     def _fire_watches(self, path: str,
-                      parts: typing.Optional[typing.Tuple[str, ...]] = None):
-        """Generator: scan the registry and deliver matching events
-        (``parts``: the path's components, when already split)."""
+                      parts: typing.Optional[typing.Tuple[str, ...]] = None
+                      ) -> float:
+        """Scan the registry and deliver matching events (``parts``: the
+        path's components, when already split); returns the delay (ms)
+        the verb waits out, 0.0 for none.
+
+        A plain call, like :meth:`_log_access`: every mutation fires,
+        and a generator per fire cost more than the fire itself."""
         costs = self.costs
         scan_us = len(self.watches) * costs.watch_scan_us
         impl = (costs.cxenstored_multiplier
@@ -493,24 +485,15 @@ class XenStoreDaemon:
             # The delivery is dropped: the daemon still pays the scan but
             # no waiter is woken — they must time out and re-announce.
             self.stats["watch_drops"] += 1
-            delay = (scan_us / 1000.0 * impl * self._load_factor()
-                     + rule.delay_ms)
-            if delay:
-                yield self.sim.timeout(delay)
-            return
+            return scan_us / 1000.0 * impl * self._load + rule.delay_ms
         fired = self.watches.fire(path, parts)
         deliver_us = len(fired) * costs.watch_deliver_us
         self.stats["watch_events"] += len(fired)
         if fired:
             tracer_of(self.sim).instant("xenstore.watch_fire",
                                         delivered=len(fired))
-        delay = (scan_us + deliver_us) / 1000.0 * impl
-        if delay:
-            # :meth:`_load_factor`, inlined; read after the callbacks ran.
-            rho = min(costs.ambient_util_cap,
-                      self.ambient_clients * costs.ambient_util_per_client
-                      / self.workers)
-            yield self.sim.timeout(delay * (1.0 / (1.0 - rho)))
+        # The load factor is read after the callbacks ran.
+        return (scan_us + deliver_us) / 1000.0 * impl * self._load
 
     # ------------------------------------------------------------------
     # Simple (non-transactional) operations
@@ -530,7 +513,6 @@ class XenStoreDaemon:
                 "domain %d may not %s %s" % (
                     domid, "write" if write else "read", path))
 
-    @_traced("xenstore.read")
     def read(self, domid: int, path: str):
         """Generator: XS_READ."""
         yield from self._charge(path=path)
@@ -540,7 +522,6 @@ class XenStoreDaemon:
             yield stall
         return self.tree.read(path)
 
-    @_traced("xenstore.write")
     def write(self, domid: int, path: str, value: str):
         """Generator: XS_WRITE (fires watches)."""
         yield from self._charge(path=path)
@@ -549,12 +530,13 @@ class XenStoreDaemon:
         parts = self.tree.write(path, value, owner_domid=domid)
         if self.journal is not None:
             self.journal.record_write(domid, path, value)
-        yield from self._fire_watches(path, parts)
+        delay = self._fire_watches(path, parts)
+        if delay:
+            yield self.sim.timeout(delay)
         stall = self._log_access()
         if stall is not None:
             yield stall
 
-    @_traced("xenstore.get_perms")
     def get_perms(self, domid: int, path: str):
         """Generator: XS_GET_PERMS."""
         yield from self._charge(path=path)
@@ -563,7 +545,6 @@ class XenStoreDaemon:
             yield stall
         return self.tree.get_perms(path)
 
-    @_traced("xenstore.set_perms")
     def set_perms(self, domid: int, path: str, perms):
         """Generator: XS_SET_PERMS (owner or Dom0 only)."""
         yield from self._charge(path=path)
@@ -579,14 +560,15 @@ class XenStoreDaemon:
         if stall is not None:
             yield stall
 
-    @_traced("xenstore.mkdir")
     def mkdir(self, domid: int, path: str):
         """Generator: XS_MKDIR."""
         yield from self._charge(path=path)
         self.tree.mkdir(path, owner_domid=domid)
         if self.journal is not None:
             self.journal.record_mkdir(domid, path)
-        yield from self._fire_watches(path)
+        delay = self._fire_watches(path)
+        if delay:
+            yield self.sim.timeout(delay)
         stall = self._log_access()
         if stall is not None:
             yield stall
@@ -603,19 +585,19 @@ class XenStoreDaemon:
         self._release_quota(node.owner_domid, removed)
         return removed
 
-    @_traced("xenstore.rm")
     def rm(self, domid: int, path: str):
         """Generator: XS_RM (recursive; fires watches)."""
         yield from self._charge(path=path)
         removed = self._remove(path)
         if removed:
-            yield from self._fire_watches(path)
+            delay = self._fire_watches(path)
+            if delay:
+                yield self.sim.timeout(delay)
         stall = self._log_access()
         if stall is not None:
             yield stall
         return removed
 
-    @_traced("xenstore.directory")
     def directory(self, domid: int, path: str):
         """Generator: XS_DIRECTORY."""
         yield from self._charge(path=path)
@@ -624,7 +606,6 @@ class XenStoreDaemon:
             yield stall
         return self.tree.directory(path)
 
-    @_traced("xenstore.watch")
     def watch(self, domid: int, path: str, token: str, callback):
         """Generator: XS_WATCH registration."""
         yield from self._charge(path=path)
@@ -634,7 +615,6 @@ class XenStoreDaemon:
             yield stall
         return watch
 
-    @_traced("xenstore.unwatch")
     def unwatch(self, domid: int, watch: Watch):
         """Generator: XS_UNWATCH."""
         yield from self._charge(path=watch.path)
@@ -646,7 +626,6 @@ class XenStoreDaemon:
     # ------------------------------------------------------------------
     # The O(N) unique-name admission check
     # ------------------------------------------------------------------
-    @_traced("xenstore.check_unique_name")
     def check_unique_name(self, domid: int, name: str):
         """Generator: compare ``name`` against every running guest's name.
 
@@ -673,7 +652,6 @@ class XenStoreDaemon:
     # ------------------------------------------------------------------
     # Batched mutations (one message round trip for N ops)
     # ------------------------------------------------------------------
-    @_traced("xenstore.batch")
     def apply_batch(self, domid: int, ops):
         """Generator: apply ``ops`` — ``(kind, path, value)`` tuples with
         kind in ``{"write", "mkdir", "rm"}`` — as one message round trip.
@@ -703,17 +681,20 @@ class XenStoreDaemon:
                 if kind not in _BATCH_KINDS:
                     raise BatchError("unknown batch op kind %r" % (kind,))
                 split_path(path)
+            sim = self.sim
             modified = []
             for kind, path, value in ops:
                 if kind == "write":
-                    yield from self.write(domid, path, value)
+                    yield from traced_op(sim, "xenstore.write",
+                                         self.write(domid, path, value))
                     modified.append(path)
                 elif kind == "mkdir":
-                    yield from self.mkdir(domid, path)
+                    yield from traced_op(sim, "xenstore.mkdir",
+                                         self.mkdir(domid, path))
                     modified.append(path)
-                else:
-                    if (yield from self.rm(domid, path)):
-                        modified.append(path)
+                elif (yield from traced_op(sim, "xenstore.rm",
+                                           self.rm(domid, path))):
+                    modified.append(path)
             return modified
         # --- one coalesced round trip -------------------------------
         shards = self._shards_for(path for _kind, path, _value in ops)
@@ -768,7 +749,9 @@ class XenStoreDaemon:
         self.stats["batches"] += 1
         self.stats["batched_ops"] += len(ops)
         for path, parts in modified:
-            yield from self._fire_watches(path, parts)
+            delay = self._fire_watches(path, parts)
+            if delay:
+                yield self.sim.timeout(delay)
         stall = self._log_access(lines=len(ops))
         if stall is not None:
             yield stall
@@ -777,7 +760,6 @@ class XenStoreDaemon:
     # ------------------------------------------------------------------
     # Transactions
     # ------------------------------------------------------------------
-    @_traced("xenstore.txn_start")
     def transaction_start(self, domid: int):
         """Generator: XS_TRANSACTION_START; returns a Transaction."""
         yield from self._charge(extra_us=self.costs.txn_overhead_us)
@@ -787,47 +769,46 @@ class XenStoreDaemon:
         self._next_tx_id += 1
         return tx
 
-    @_traced("xenstore.tx_read")
     def txn_read(self, tx: Transaction, path: str):
         """Generator: XS_READ inside a transaction."""
         yield from self._charge(path=path)
-        self._check_tx_epoch(tx)
+        if self.journal is not None:
+            self._check_tx_epoch(tx)
         stall = self._log_access()
         if stall is not None:
             yield stall
         return tx.read(path)
 
-    @_traced("xenstore.tx_exists")
     def txn_exists(self, tx: Transaction, path: str):
         """Generator: existence check inside a transaction."""
         yield from self._charge(path=path)
-        self._check_tx_epoch(tx)
+        if self.journal is not None:
+            self._check_tx_epoch(tx)
         stall = self._log_access()
         if stall is not None:
             yield stall
         return tx.exists(path)
 
-    @_traced("xenstore.tx_write")
     def txn_write(self, tx: Transaction, path: str, value: str):
         """Generator: XS_WRITE inside a transaction (staged)."""
         yield from self._charge(path=path)
-        self._check_tx_epoch(tx)
+        if self.journal is not None:
+            self._check_tx_epoch(tx)
         tx.write(path, value)
         stall = self._log_access()
         if stall is not None:
             yield stall
 
-    @_traced("xenstore.tx_rm")
     def txn_rm(self, tx: Transaction, path: str):
         """Generator: XS_RM inside a transaction (staged)."""
         yield from self._charge(path=path)
-        self._check_tx_epoch(tx)
+        if self.journal is not None:
+            self._check_tx_epoch(tx)
         tx.rm(path)
         stall = self._log_access()
         if stall is not None:
             yield stall
 
-    @_traced("xenstore.batch")
     def txn_flush_staged(self, tx: Transaction, staged):
         """Generator: stage ``(kind, path, value)`` ops — kind in
         ``{"write", "rm"}`` — into ``tx`` with one batched round trip.
@@ -840,13 +821,17 @@ class XenStoreDaemon:
         staged = list(staged)
         if not staged:
             return
-        self._check_tx_epoch(tx)
+        if self.journal is not None:
+            self._check_tx_epoch(tx)
         if not self.batch_ops:
+            sim = self.sim
             for kind, path, value in staged:
                 if kind == "write":
-                    yield from self.txn_write(tx, path, value)
+                    yield from traced_op(sim, "xenstore.tx_write",
+                                         self.txn_write(tx, path, value))
                 elif kind == "rm":
-                    yield from self.txn_rm(tx, path)
+                    yield from traced_op(sim, "xenstore.tx_rm",
+                                         self.txn_rm(tx, path))
                 else:
                     raise BatchError("unknown txn op kind %r" % (kind,))
             return
@@ -866,7 +851,6 @@ class XenStoreDaemon:
         if stall is not None:
             yield stall
 
-    @_traced("xenstore.txn_commit")
     def transaction_commit(self, tx: Transaction):
         """Generator: XS_TRANSACTION_END(commit=True).
 
@@ -881,7 +865,8 @@ class XenStoreDaemon:
         yield from self._charge(
             extra_us=self.costs.txn_overhead_us + validate_us,
             shards=self._all_shards())
-        self._check_tx_epoch(tx)
+        if self.journal is not None:
+            self._check_tx_epoch(tx)
         if self._injecting and \
                 self.faults.fires("xenstore.commit") is not None:
             tx.abort()
@@ -919,7 +904,9 @@ class XenStoreDaemon:
                 self.journal.record_rm(path)
         self.stats["commits"] += 1
         for path, parts in modified:
-            yield from self._fire_watches(path, parts)
+            delay = self._fire_watches(path, parts)
+            if delay:
+                yield self.sim.timeout(delay)
         stall = self._log_access()
         if stall is not None:
             yield stall
@@ -942,7 +929,6 @@ class XenStoreDaemon:
                           1.0 - math.exp(-rate * duration))
         return self.rng.random() < probability
 
-    @_traced("xenstore.txn_abort")
     def transaction_abort(self, tx: Transaction):
         """Generator: XS_TRANSACTION_END(commit=False)."""
         yield from self._charge()

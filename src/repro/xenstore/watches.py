@@ -151,7 +151,8 @@ class WatchManager:
             level = level.children.get(part)
             if level is None:
                 break
-            fired += level.watches
+            if level.watches:
+                fired += level.watches
         for watch in fired:
             self.fired_total += 1
             watch.callback(path, watch.token)

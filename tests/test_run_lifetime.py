@@ -16,15 +16,14 @@ import pytest
 
 from repro.cli import main
 from repro.guests import DAYTIME_UNIKERNEL
-from repro.sim import Simulator
+from repro.sim import AnyOf, Simulator
 from repro.stdlib import load_spec, run_scenario
 from repro.stdlib.presets import storm_spec
 
 from .test_cli import EXAMPLES, _spec
 
 #: What a dropped run may leave for the cyclic collector.  The budget
-#: covers the small cycles a run makes along the way (an ``AnyOf`` whose
-#: losing child keeps its ``_check``), not a host.
+#: covers small cycles a run may make along the way, not a host.
 BUDGET = 128 * 1024
 
 VARIANTS = ("xl", "chaos+xs", "chaos+xs+split", "chaos+noxs", "lightvm")
@@ -64,6 +63,30 @@ def test_dropped_inline_cluster_run_needs_no_collector():
     spec = load_spec(EXAMPLES / "cluster_storm.yaml")
     assert _left_for_collector(
         lambda: run_scenario(spec, seed=1, workers=1)) < BUDGET
+
+
+def _live_any_ofs() -> int:
+    return sum(1 for obj in gc.get_objects() if obj.__class__ is AnyOf)
+
+
+@pytest.mark.parametrize("traffic", ("boot-storm@1", "churn@1"))
+def test_dropped_lightvm_run_leaves_no_any_of(traffic):
+    """The shell pool's idle polls race a signal against a timeout.  An
+    ``AnyOf`` the timeout won must not stay subscribed to the signal,
+    nor the one the replenisher is parked on when the host closes, or
+    each is a cycle left for the collector."""
+    spec = storm_spec("polls", "lightvm@1", "daytime@1", 64,
+                      traffic=traffic)
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = _live_any_ofs()
+        run_scenario(spec, seed=1)
+        assert _live_any_ofs() == before
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_observed_run_leaves_the_callers_simulator_open():

@@ -197,6 +197,48 @@ def test_any_of_fires_on_first():
     assert sim.now == 1.0
 
 
+def _subscribed(condition, child):
+    """True while ``child``'s callbacks still reference ``condition``."""
+    return any(getattr(callback, "__self__", None) is condition
+               for callback in child.callbacks or ())
+
+
+def test_any_of_unsubscribes_from_the_child_that_lost():
+    """The idle-poll shape: a signal raced against a timeout.  Once the
+    timeout wins, the signal must not keep the AnyOf alive."""
+    sim = Simulator()
+    signal = sim.event()
+    either = sim.any_of([signal, sim.timeout(1.0)])
+    sim.run(until=either)
+    assert not _subscribed(either, signal)
+    assert signal.callbacks == []
+    signal.succeed("late")
+    sim.run()
+    assert list(either.value.values()) == [None]
+
+
+def test_any_of_failure_unsubscribes_from_the_rest():
+    sim = Simulator()
+    pending = sim.event()
+    bad = sim.event()
+    sim.schedule(1.0, bad.fail, ValueError("early failure"))
+    either = sim.any_of([pending, bad])
+    with pytest.raises(ValueError, match="early failure"):
+        sim.run(until=either)
+    assert not _subscribed(either, pending)
+
+
+def test_any_of_triggered_at_construction_keeps_no_subscription():
+    sim = Simulator()
+    done = sim.timeout(0.0, value="done")
+    sim.run()
+    pending = sim.event()
+    either = sim.any_of([pending, done, sim.event()])
+    assert either.triggered
+    assert not any(_subscribed(either, child) for child in either.events)
+    assert sim.run(until=either) == {done: "done"}
+
+
 def test_all_of_empty_succeeds_immediately():
     sim = Simulator()
     done = sim.all_of([])

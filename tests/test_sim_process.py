@@ -424,6 +424,26 @@ def test_close_detaches_parked_processes_and_drops_hooks():
     assert sim.drain_hooks == []
 
 
+@pytest.mark.parametrize("condition", ("any_of", "all_of"))
+def test_close_unsubscribes_a_parked_condition_from_its_children(
+        condition):
+    """The shell pool's idle poll at close: a process parked on a
+    condition over a signal and a timeout.  Once closed, neither pending
+    child may keep the condition, and through it the simulator, alive."""
+    sim = Simulator()
+    signal = sim.event()
+    timeout = sim.timeout(5.0)
+    either = getattr(sim, condition)([signal, timeout])
+
+    def poll():
+        yield either
+
+    sim.process(poll())
+    sim.run(until=1.0)
+    sim.close()
+    assert signal.callbacks == [] and timeout.callbacks == []
+
+
 def test_closed_simulator_refuses_to_run():
     sim = Simulator()
     sim.timeout(1.0)

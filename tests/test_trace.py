@@ -338,7 +338,25 @@ def _boot_storm(variant, tracing, count=3, registry=None):
     return host, records, trace, tracer
 
 
+#: ``(spans, Tracer.digest())`` of a traced :func:`_boot_storm`, per
+#: variant: where every XenStore op span opens, closes and nests.
+SPAN_DIGEST_PINS = {
+    "xl": (379, "5b7ea6393592981b8a6340f0f3848788"
+                "6f09e95bf07f2d792123fb33efb5afbd"),
+    "chaos+xs": (142, "7e65d5d18d34417f334bf805eb881ef0"
+                      "55262fa77242adc613f237121ec10604"),
+    "chaos+xs+split": (196, "1952df6aee7082a513109e1e265cf590"
+                            "17d434df4ececd36046a6ba4eae9e45c"),
+}
+
+
 class TestHostIntegration:
+    @pytest.mark.parametrize("variant", sorted(SPAN_DIGEST_PINS))
+    def test_span_digest_pinned(self, variant):
+        _host, _records, _trace, tracer = _boot_storm(variant, tracing=True)
+        assert (len(tracer.spans), tracer.digest()) == \
+            SPAN_DIGEST_PINS[variant]
+
     def test_fig05_attribution_matches_recorder_exactly(self):
         """The acceptance criterion: span-derived per-phase totals equal
         the PhaseRecorder's accumulated series with exact float

@@ -8,9 +8,11 @@ import pytest
 
 from repro.core import Host
 from repro.guests import DAYTIME_UNIKERNEL
+from repro.recovery import OpJournal
 from repro.sim import Simulator
+from repro.trace import Tracer
 from repro.xenstore import (DuplicateNameError, TransactionConflict,
-                            XenStoreCosts, XenStoreDaemon)
+                            XenStoreCosts, XenStoreDaemon, XsClient)
 
 
 def run_op(sim, gen):
@@ -211,17 +213,69 @@ def test_requests_serialize_on_single_worker():
     assert len(set(finish_times)) == 3
 
 
-def test_traced_verbs_stay_generator_functions():
-    """The benchmark suite bills a verb's resumptions to the XenStore
-    layer only while ``inspect.isgeneratorfunction`` holds for it; a
-    ``_traced`` wrapper that returned the op's own generator would move
-    all XenStore time to its caller's layer."""
-    traced = {name: fn for name, fn in vars(XenStoreDaemon).items()
-              if hasattr(fn, "__wrapped__")}
-    assert {"read", "write", "watch", "apply_batch", "txn_write",
-            "transaction_commit"} <= set(traced)
-    for name, fn in traced.items():
-        assert inspect.isgeneratorfunction(fn), name
+#: Every daemon verb the benchmark suite's layer ledger bills to the
+#: XenStore (``_XS_VERBS`` in ``benchmarks/suite/layers.py``).
+BILLED_VERBS = ("read", "write", "get_perms", "set_perms", "mkdir", "rm",
+                "directory", "watch", "unwatch", "check_unique_name",
+                "apply_batch", "transaction_start", "txn_read",
+                "txn_exists", "txn_write", "txn_rm", "txn_flush_staged",
+                "transaction_commit", "transaction_abort", "restart")
+
+
+def test_billed_verbs_are_generator_functions():
+    """The suite bills a verb's resumptions to the XenStore layer only
+    while ``inspect.isgeneratorfunction`` holds for it: a verb that
+    became a plain function returning a generator would move all its
+    time to the caller's layer."""
+    for name in BILLED_VERBS:
+        assert inspect.isgeneratorfunction(
+            getattr(XenStoreDaemon, name)), name
+
+
+def test_untraced_client_op_is_the_verbs_own_generator():
+    """No tracer attached: neither the client nor a decorator on the
+    verb adds a wrapper generator."""
+    sim, xs = make_daemon()
+    gen = XsClient(xs).write("/a", "1")
+    assert gen.gi_code is XenStoreDaemon.write.__code__
+    assert gen.gi_code.co_name == "write"
+    run_op(sim, gen)
+    assert run_op(sim, xs.read(0, "/a")) == "1"
+
+
+def test_traced_client_op_records_its_span_under_the_caller():
+    sim, xs = make_daemon()
+    tracer = Tracer().attach(sim)
+    client = XsClient(xs)
+
+    def caller():
+        with tracer.span("caller"):
+            yield from client.write("/a", "1")
+    sim.run(until=sim.process(caller()))
+    [outer] = tracer.by_name("caller")
+    [write] = tracer.by_name("xenstore.write")
+    assert write.parent_id == outer.span_id
+    assert outer.begin_ms == write.begin_ms == 0.0
+    assert write.end_ms == sim.now > 0.0
+
+
+def test_cached_load_factor_follows_ambient_clients():
+    """The cached ``1/(1-rho)`` equals a fresh :meth:`_load_factor`
+    after every change the daemon makes to ``ambient_clients``."""
+    sim, xs = make_daemon(rng=None)
+    assert xs._load == xs._load_factor() == 1.0
+    xs.register_client(3.0)
+    assert xs._load == xs._load_factor() > 1.0
+    xs.unregister_client(1.25)
+    assert xs._load == xs._load_factor()
+    # A restart rebuilds the ambient weight from the journal, which saw
+    # only what was registered after it was attached.
+    xs.attach_journal(OpJournal())
+    xs.register_client(1.0)
+    xs._crash()
+    run_op(sim, xs.restart())
+    assert xs.ambient_clients == 1.0
+    assert xs._load == xs._load_factor()
 
 
 def test_dropped_host_leaves_no_xenstore_allocations():

@@ -16,7 +16,10 @@ Also pinned here:
 * the client handle layer is digest-neutral over both daemons;
 * ``workers>1`` dispatch is deterministic: identical replays for any
   seed, including under concurrent multi-process interleavings
-  (property-tested with hypothesis).
+  (property-tested with hypothesis);
+* literal digests of the paths the frozen daemon cannot drive: sharded
+  and batched storms, an xl storm on cxenstored, and a client storm on
+  a daemon that sheds load.
 """
 
 import warnings
@@ -24,6 +27,9 @@ import warnings
 import pytest
 
 from repro.analysis.sanitize import EventTrace
+from repro.core import Host
+from repro.faults.plan import Overloaded
+from repro.guests import DAYTIME_UNIKERNEL
 from repro.sim import Simulator
 from repro.xenstore import XenStoreDaemon, XsClient
 
@@ -220,6 +226,105 @@ def test_backend_paths_follow_frontend_shard():
         backend = xs._shard_index(
             "/local/domain/0/backend/vif/%d/0/state" % domid)
         assert guest == backend == domid % 4
+
+
+# ----------------------------------------------------------------------
+# Golden digests: literal (events, digest) pairs for the request paths
+# the frozen daemon cannot speak to (shards, batches, cxenstored, load
+# shedding).  A host-cost change to the request path must hold them.
+# ----------------------------------------------------------------------
+
+#: :func:`_sharded_storm` at seed 7, per ``(workers, batch_ops)``.
+SHARDED_STORM_PINS = {
+    (2, False): (184, "923149d3c61587d903b539e7d9dc05dd"
+                      "19a5b61db2ff5d1af14c0336d1b7509b"),
+    (2, True): (136, "4b570db414d2059b920f2dd05cf216e1"
+                     "89da3600b928165affb7f8d21a68a74a"),
+    (4, False): (216, "4198f0aceac0ca7b1ece0364b9ea1e6a"
+                      "9a23ca575046d2abd0cd36d10431f60c"),
+    (4, True): (168, "91f01acb509ac75ade4e5602e97c1837"
+                     "d6f5e8d170e089a221cb1348561313e5"),
+}
+
+
+@pytest.mark.parametrize("workers,batch_ops", sorted(SHARDED_STORM_PINS))
+def test_sharded_storm_digest_pinned(workers, batch_ops):
+    seed = 7
+    writers = tuple((domid, (domid * seed) % 5) for domid in range(1, 9))
+    trace = run_traced(Simulator, _sharded_storm(workers, batch_ops,
+                                                 writers), seed)
+    assert (trace.events, trace.digest()) == \
+        SHARDED_STORM_PINS[workers, batch_ops]
+
+
+def _cxenstored_xl_storm(sim, seed):
+    """An xl creation storm on the C daemon (its latency multiplier
+    applies to every op and every watch delivery)."""
+    host = Host(variant="xl", seed=seed, sim=sim,
+                xenstore_impl="cxenstored")
+    for _ in range(8):
+        host.create_vm(DAYTIME_UNIKERNEL)
+
+
+def test_cxenstored_xl_storm_digest_pinned():
+    trace = run_traced(Simulator, _cxenstored_xl_storm, 7)
+    assert (trace.events, trace.digest()) == (
+        2431,
+        "f1e482ec7913b1459a95df48125b746ed9b8570ce3579be95f7994d5e5404a38")
+
+
+def _shedding_storm(sim, seed):
+    """Twelve clients on a daemon whose admission queue holds one
+    request: transactions, plain writes and batches are shed, and the
+    client's bounded resends absorb part of it."""
+    xs = XenStoreDaemon(sim, rng=None, queue_cap=1)
+    client = XsClient(xs)
+
+    def writer(domid):
+        base = "/local/domain/%d" % domid
+        yield sim.timeout(float((domid * seed) % 3))
+        outcomes = []
+
+        def body(txn):
+            yield from txn.write(base + "/memory/target", "64")
+            yield from txn.exists(base + "/name")
+        try:
+            retries = yield from client.transaction(body)
+            outcomes.append("txn%d" % retries)
+        except Overloaded:
+            outcomes.append("txn-shed")
+        try:
+            yield from client.write(base + "/name", "g%d" % domid)
+            outcomes.append("write")
+        except Overloaded:
+            outcomes.append("write-shed")
+        try:
+            with client.batch() as batch:
+                for leaf in range(3):
+                    batch.write("%s/data/%d" % (base, leaf), str(leaf))
+                yield from batch.commit()
+            outcomes.append("batch")
+        except Overloaded:
+            outcomes.append("batch-shed")
+        return outcomes
+
+    for domid in range(1, 13):
+        sim.process(writer(domid))
+    sim.run()
+    return xs
+
+
+def test_shedding_client_storm_digest_pinned():
+    shed = []
+
+    def scenario(sim, seed):
+        shed.append(_shedding_storm(sim, seed).stats["shed"])
+
+    trace = run_traced(Simulator, scenario, 0)
+    assert shed[0] > 0
+    assert (shed[0], trace.events, trace.digest()) == (
+        38, 218,
+        "7fd2217907e9309470281191ba00e4edaedd716151307f23bdd062ba1c867edb")
 
 
 # ----------------------------------------------------------------------
